@@ -491,23 +491,32 @@ pub fn serve_sweep(
     points
 }
 
+/// Interleaved armed/disarmed pairs [`bench_summary`]'s flight-recorder
+/// overhead estimate takes the median of.
+pub const TRACE_OVERHEAD_PAIRS: usize = 21;
+
 /// The flight-recorder overhead experiment (DESIGN.md §14): one
 /// mixed-stream byte-mode fleet serve, run with the recorder disarmed and
-/// then armed (ring at the default cap, time-series sampling on).
+/// armed (ring at the default cap, time-series sampling on) in interleaved
+/// pairs.
 #[derive(Clone, Debug)]
 pub struct TraceOverhead {
-    /// Best-of-three host time with the recorder disarmed, in ns.
+    /// Median host time of the disarmed runs, in ns.
     pub disarmed_host_ns: u64,
-    /// Best-of-three host time with the recorder armed, in ns.
+    /// Median host time of the armed runs, in ns.
     pub armed_host_ns: u64,
-    /// `armed / disarmed − 1` (negative means the armed run measured
-    /// faster — pure host noise).
+    /// Median over the pairs of `armed / disarmed − 1` (negative means the
+    /// armed run measured faster — pure host noise).
     pub overhead_frac: f64,
-    /// Merged trace events the armed run recorded.
+    /// Spread of the per-pair overheads: their quartile distance (q3 − q1).
+    pub overhead_iqr: f64,
+    /// Armed/disarmed pairs measured.
+    pub pairs: u64,
+    /// Merged trace events an armed run recorded.
     pub trace_events: u64,
-    /// Time-series samples the armed run recorded.
+    /// Time-series samples an armed run recorded.
     pub trace_samples: u64,
-    /// Whether the armed run's modelled outcome was bit-identical to the
+    /// Whether every run's modelled outcome was bit-identical to the first
     /// disarmed run's: per-connection exits, state digests, stats,
     /// latencies, violations, and the fleet makespan.
     pub modelled_identical: bool,
@@ -518,18 +527,22 @@ pub struct TraceOverhead {
 ///
 /// The same mixed-stream connections are served serially (width 1, so host
 /// scheduling noise stays out of the measurement) with the recorder off and
-/// on; each arm takes the best of three repetitions — the modelled outcome
-/// is identical across repetitions by construction, so min() is a pure
-/// noise filter. The armed ring uses the default cap with `sample_cycles`
-/// time-series sampling, i.e. the `serve --trace-out --sample-cycles`
-/// configuration.
+/// on, in `pairs` back-to-back pairs whose order alternates, so a drift in
+/// host speed hits both arms alike. The estimate is the median of the
+/// per-pair ratios, with their quartile distance as the spread; a single
+/// pair's ratio moves by more than the budget under load, a median of
+/// interleaved ratios does not. The armed ring uses the default cap with
+/// `sample_cycles` time-series sampling, i.e. the `serve --trace-out
+/// --sample-cycles` configuration.
 pub fn trace_overhead(
     connections: usize,
     requests_per_conn: usize,
     sample_cycles: u64,
+    pairs: usize,
 ) -> TraceOverhead {
-    use shift_core::{Fleet, FleetReport, FlightConfig, DEFAULT_TRACE_CAP};
+    use shift_core::{FleetReport, FlightConfig, DEFAULT_TRACE_CAP};
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
+    assert!(pairs > 0, "the overhead estimate needs at least one pair");
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
     let conns = fleet_connections(stream, connections, requests_per_conn);
@@ -537,36 +550,55 @@ pub fn trace_overhead(
     let disarmed = apache_fleet(mode);
     let armed = apache_fleet(mode)
         .with_flight_recorder(FlightConfig { cap: DEFAULT_TRACE_CAP, sample_cycles });
-    let best_of_three = |fleet: &Fleet| -> (FleetReport, u64) {
-        let mut best: Option<(FleetReport, u64)> = None;
-        for _ in 0..3 {
-            let r = fleet.serve(&world, &conns, 1);
-            let ns = r.host_ns.max(1);
-            if best.as_ref().is_none_or(|&(_, b)| ns < b) {
-                best = Some((r, ns));
+    let same_model = |a: &FleetReport, b: &FleetReport| {
+        a.wall_cycles == b.wall_cycles
+            && a.connections.len() == b.connections.len()
+            && a.connections.iter().zip(&b.connections).all(|(a, b)| {
+                a.exit == b.exit
+                    && a.state_digest == b.state_digest
+                    && a.stats == b.stats
+                    && a.latencies == b.latencies
+                    && a.violations == b.violations
+            })
+    };
+    let mut base: Option<FleetReport> = None;
+    let mut traced: Option<FleetReport> = None;
+    let mut modelled_identical = true;
+    let (mut disarmed_ns, mut armed_ns, mut fracs) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let mut ns = [0u64; 2];
+        for arm in [pair % 2, 1 - pair % 2] {
+            let r = [&disarmed, &armed][arm].serve(&world, &conns, 1);
+            ns[arm] = r.host_ns.max(1);
+            let first = base.get_or_insert_with(|| r.clone());
+            modelled_identical &= same_model(first, &r);
+            if arm == 1 && traced.is_none() {
+                traced = Some(r);
             }
         }
-        best.expect("three repetitions ran")
-    };
-    let (base, disarmed_host_ns) = best_of_three(&disarmed);
-    let (traced, armed_host_ns) = best_of_three(&armed);
-    let modelled_identical = base.wall_cycles == traced.wall_cycles
-        && base.connections.len() == traced.connections.len()
-        && base.connections.iter().zip(&traced.connections).all(|(a, b)| {
-            a.exit == b.exit
-                && a.state_digest == b.state_digest
-                && a.stats == b.stats
-                && a.latencies == b.latencies
-                && a.violations == b.violations
-        });
+        disarmed_ns.push(ns[0]);
+        armed_ns.push(ns[1]);
+        fracs.push(ns[1] as f64 / ns[0] as f64 - 1.0);
+    }
+    let traced = traced.expect("every pair runs the armed fleet");
+    let (q1, overhead_frac, q3) = quartiles(&mut fracs);
     TraceOverhead {
-        disarmed_host_ns,
-        armed_host_ns,
-        overhead_frac: armed_host_ns as f64 / disarmed_host_ns as f64 - 1.0,
+        disarmed_host_ns: quartiles(&mut disarmed_ns).1,
+        armed_host_ns: quartiles(&mut armed_ns).1,
+        overhead_frac,
+        overhead_iqr: q3 - q1,
+        pairs: pairs as u64,
         trace_events: traced.merged_trace_events().len() as u64,
         trace_samples: traced.merged_samples().len() as u64,
         modelled_identical,
     }
+}
+
+/// `(q1, median, q3)` of a non-empty sample, by nearest rank.
+fn quartiles<T: Copy + PartialOrd>(xs: &mut [T]) -> (T, T, T) {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in timing samples"));
+    let n = xs.len();
+    (xs[n / 4], xs[n / 2], xs[(3 * n) / 4])
 }
 
 /// The spawn-latency experiment (DESIGN.md §15): is `MachineSeed::spawn`
@@ -596,7 +628,7 @@ pub struct SpawnLatency {
 ///
 /// Each image is loaded once; spawns are timed in batches (the per-spawn
 /// cost is far below timer granularity) with the best of three batches kept
-/// as a noise filter, mirroring [`trace_overhead`]'s best-of-three shape.
+/// as a noise filter.
 /// Under page sharing both images spawn by bumping the same number of
 /// reference counts, so the ratio stays near 1.0; CI asserts it under 1.5,
 /// a bound the old deep-clone spawn (~4× here, by construction) fails.
@@ -1014,7 +1046,7 @@ pub fn bench_summary(
     let serve_ns = t0.elapsed().as_nanos() as u64;
 
     let t0 = Instant::now();
-    let trace = trace_overhead(serve_conns, serve_reqs, 100_000);
+    let trace = trace_overhead(serve_conns, serve_reqs, 100_000, TRACE_OVERHEAD_PAIRS);
     let trace_ns = t0.elapsed().as_nanos() as u64;
 
     let t0 = Instant::now();
@@ -1206,6 +1238,8 @@ pub fn bench_summary(
                 ("disarmed_host_ns", Json::U64(trace.disarmed_host_ns)),
                 ("armed_host_ns", Json::U64(trace.armed_host_ns)),
                 ("overhead_frac", Json::F64(trace.overhead_frac)),
+                ("overhead_iqr", Json::F64(trace.overhead_iqr)),
+                ("pairs", Json::U64(trace.pairs)),
                 ("trace_events", Json::U64(trace.trace_events)),
                 ("trace_samples", Json::U64(trace.trace_samples)),
                 ("modelled_identical", Json::Bool(trace.modelled_identical)),
@@ -1379,20 +1413,24 @@ mod tests {
         assert!(high.peak_owned_pages > 0);
     }
 
+    /// The exact half of the overhead experiment. The < 10 % host-time
+    /// budget is a release-build measurement: CI's bench smoke enforces it
+    /// on `shift bench --json`'s median of interleaved pairs.
     #[test]
-    fn trace_overhead_is_zero_perturbation_and_cheap() {
-        let t = trace_overhead(4, 3, 100_000);
+    fn trace_overhead_is_zero_perturbation() {
+        let t = trace_overhead(4, 3, 100_000, 2);
         assert!(t.modelled_identical, "arming the recorder perturbed the modelled outcome");
         assert!(t.trace_events > 0, "armed run recorded no events");
         assert!(t.trace_samples > 0, "armed run recorded no samples");
-        assert!(
-            t.overhead_frac < 0.10,
-            "armed host overhead {:.1}% exceeds the 10% budget \
-             ({} ns armed vs {} ns disarmed)",
-            t.overhead_frac * 100.0,
-            t.armed_host_ns,
-            t.disarmed_host_ns
-        );
+        assert_eq!(t.pairs, 2);
+        assert!(t.disarmed_host_ns > 0 && t.armed_host_ns > 0);
+        assert!(t.overhead_iqr >= 0.0);
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank() {
+        assert_eq!(quartiles(&mut [5, 1, 4, 2, 3]), (2, 3, 4));
+        assert_eq!(quartiles(&mut [7]), (7, 7, 7));
     }
 
     #[test]

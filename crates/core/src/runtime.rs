@@ -22,7 +22,7 @@ use shift_isa::{sys, Gpr};
 use shift_machine::{
     layout, Exit, Fault, Machine, MemError, Os, Sample, Snapshot, SysResult, TraceKind, Violation,
 };
-use shift_tagmap::{tag_location, Granularity, HostShadow};
+use shift_tagmap::{tag_location, tag_range, Granularity, HostShadow, TagAddrError};
 
 use crate::config::{Source, TaintConfig, ViolationAction};
 use crate::policy::{self, Policy, TaintedBytes};
@@ -112,7 +112,10 @@ struct RuntimeCheckpoint {
     shadow: HostShadow,
     fds: Vec<Option<OpenFile>>,
     heap_cursor: u64,
-    files: BTreeMap<String, Vec<u8>>,
+    /// The filesystem at checkpoint time, copied lazily: `None` until the
+    /// transaction first mutates `world.files` (see
+    /// [`Runtime::snapshot_files`]), since most transactions only read it.
+    files: Option<BTreeMap<String, Vec<u8>>>,
     opened_paths_len: usize,
     log_len: usize,
     net_output_len: usize,
@@ -312,44 +315,58 @@ impl Runtime {
     /// both the host shadow and (when instrumented) the guest bitmap.
     /// `label` names the source channel for taint tracing (e.g.
     /// `"net_read msg#0"`); it becomes the origin of the provenance chain a
-    /// later sink violation reports.
+    /// later sink violation reports. Takes the runtime's taint fields
+    /// rather than `&mut self`, so callers can copy straight out of `world`
+    /// (file contents, arguments) without cloning it first.
+    ///
+    /// The guest bitmap is updated a span at a time: [`tag_range`] maps the
+    /// buffer to its run of tag bytes and [`shift_machine::Memory::modify_bytes`]
+    /// masks them in place, page by page. The result — every tag byte, and
+    /// which bitmap pages are written, journaled and COW-faulted — is the
+    /// same as a per-byte `tag_location` + read-modify-write loop.
     fn write_guest(
-        &mut self,
+        shadow: &mut HostShadow,
+        gran: Option<Granularity>,
         m: &mut Machine,
         addr: u64,
         bytes: &[u8],
         tainted: bool,
         label: &str,
     ) -> Result<(), MemError> {
+        let len = bytes.len() as u64;
+        let tags = match gran.map(|g| tag_range(addr, len, g)) {
+            // A buffer inside the tag space has no tags of its own: refuse
+            // it before a single byte lands, as a fault of the guest.
+            Some(Err(TagAddrError::RegionZero)) => return Err(MemError::Unmapped { addr }),
+            Some(Ok(range)) => Some(range),
+            // Unimplemented or region-crossing buffers: `write_bytes`
+            // faults on them below.
+            Some(Err(TagAddrError::Unimplemented)) | None => None,
+        };
         m.mem.write_bytes(addr, bytes)?;
-        self.shadow.set_range(addr, bytes.len() as u64, tainted);
-        if let Some(gran) = self.gran {
-            for i in 0..bytes.len() as u64 {
-                let loc = tag_location(addr + i, gran).expect("guest buffers live in data regions");
-                let byte = m.mem.read_int(loc.byte_addr, 1)?;
-                let new =
-                    if tainted { byte | u64::from(loc.mask) } else { byte & !u64::from(loc.mask) };
-                m.mem.write_int(loc.byte_addr, 1, new)?;
-            }
+        shadow.set_range(addr, len, tainted);
+        if let Some(r) = tags {
+            m.mem.modify_bytes(r.byte_addr, r.len, |first, span| r.mark(first, span, tainted))?;
         }
         if let Some(o) = m.taint_observer_mut() {
-            o.record_runtime_write(label, addr, bytes.len() as u64, tainted);
+            o.record_runtime_write(label, addr, len, tainted);
         }
         Ok(())
     }
 
     /// Reads guest bytes plus their taint **as the guest's bitmap records
-    /// it** — this is what policy checks must use.
+    /// it** — this is what policy checks must use. The bitmap is read a
+    /// span at a time, like [`Runtime::write_guest`] writes it; a buffer in
+    /// region 0 has no tags and reads clean.
     fn read_tainted(&self, m: &mut Machine, addr: u64, len: u64) -> Result<TaintedBytes, MemError> {
         let mut bytes = vec![0u8; len as usize];
         m.mem.read_bytes(addr, &mut bytes)?;
         let mut taint = vec![false; bytes.len()];
-        if let Some(gran) = self.gran {
-            for (i, t) in taint.iter_mut().enumerate() {
-                if let Ok(loc) = tag_location(addr + i as u64, gran) {
-                    let byte = m.mem.read_int(loc.byte_addr, 1)?;
-                    *t = byte & u64::from(loc.mask) != 0;
-                }
+        if let Some(Ok(r)) = self.gran.map(|g| tag_range(addr, len, g)) {
+            let mut tags = vec![0u8; r.len as usize];
+            m.mem.read_bytes(r.byte_addr, &mut tags)?;
+            for (j, t) in (0..).zip(taint.iter_mut()) {
+                *t = r.is_tainted(&tags, j);
             }
         }
         Ok(TaintedBytes { bytes, taint })
@@ -376,7 +393,7 @@ impl Runtime {
             shadow: self.shadow.clone(),
             fds: self.fds.clone(),
             heap_cursor: self.heap_cursor,
-            files: self.world.files.clone(),
+            files: None,
             opened_paths_len: self.opened_paths.len(),
             log_len: self.log.len(),
             net_output_len: self.net_output.len(),
@@ -399,20 +416,30 @@ impl Runtime {
     /// recovery counters deliberately survive the rollback. Returns `false`
     /// — recovery impossible — when no checkpoint is armed.
     pub fn recover(&mut self, m: &mut Machine) -> bool {
-        let Some((snap, rc)) = self.checkpoint.clone() else {
+        let Some((snap, rc)) = &mut self.checkpoint else {
             return false;
         };
-        m.restore(&snap);
-        self.shadow = rc.shadow;
-        self.fds = rc.fds;
+        m.restore(snap);
+        self.shadow = rc.shadow.clone();
+        self.fds = rc.fds.clone();
         self.heap_cursor = rc.heap_cursor;
-        self.world.files = rc.files;
+        // Without a snapshot the transaction never touched the filesystem.
+        // With one, hand it back: `world.files` equals the checkpoint again,
+        // so the next mutation snapshots afresh.
+        if let Some(files) = rc.files.take() {
+            self.world.files = files;
+        }
         self.opened_paths.truncate(rc.opened_paths_len);
         self.log.truncate(rc.log_len);
         self.net_output.truncate(rc.net_output_len);
         self.html_output.truncate(rc.html_output_len);
         self.sql_log.truncate(rc.sql_log_len);
         self.shell_log.truncate(rc.shell_log_len);
+        // Cycles are timing state and are not rolled back: attribute the
+        // aborted transaction's work to recovery overhead, and restart the
+        // attribution window for the transaction that begins now.
+        let thrown = m.stats.cycles.saturating_sub(rc.stats_cycles);
+        rc.stats_cycles = m.stats.cycles;
         self.recoveries += 1;
         // The rolled-back transaction's request (if one was actually
         // delivered into it) is gone for good: account it as aborted so
@@ -421,14 +448,7 @@ impl Runtime {
             self.aborted_requests += 1;
             self.open_request = false;
         }
-        // Cycles are timing state and are not rolled back: attribute the
-        // aborted transaction's work to recovery overhead, and restart the
-        // attribution window for the transaction that begins now.
-        let thrown = m.stats.cycles.saturating_sub(rc.stats_cycles);
         self.recovery_cycles += thrown;
-        if let Some((_, rc)) = &mut self.checkpoint {
-            rc.stats_cycles = m.stats.cycles;
-        }
         let now = m.stats.total_time();
         if let Some(fr) = m.flight_recorder_mut() {
             fr.instant(now, TraceKind::Recovery { recovered_cycles: thrown });
@@ -454,6 +474,18 @@ impl Runtime {
         let _ = self.do_stream_read(m, msg, buf, max, Source::Network, b, p);
         self.yield_on_io = saved_yield;
         true
+    }
+
+    /// Copies the filesystem into the open checkpoint before the
+    /// transaction's first change to it — copy-on-write, like memory
+    /// pages. Only writable opens and writes change `world.files`, so a
+    /// transaction that just reads files keeps no copy at all.
+    fn snapshot_files(&mut self) {
+        if let Some((_, rc)) = &mut self.checkpoint {
+            if rc.files.is_none() {
+                rc.files = Some(self.world.files.clone());
+            }
+        }
     }
 
     fn violate(
@@ -589,7 +621,7 @@ impl Runtime {
         let n = match data {
             Some(mut msg) => {
                 msg.truncate(max as usize);
-                self.write_guest(m, buf, &msg, tainted, &label)?;
+                Self::write_guest(&mut self.shadow, self.gran, m, buf, &msg, tainted, &label)?;
                 msg.len() as u64
             }
             None => 0,
@@ -744,6 +776,7 @@ impl Runtime {
                 let name = String::from_utf8_lossy(&path.bytes).into_owned();
                 let writable = a1 == 1;
                 if writable {
+                    self.snapshot_files();
                     self.world.files.entry(name.clone()).or_default();
                 } else if !self.world.files.contains_key(&name) {
                     Self::ret(m, -1);
@@ -758,23 +791,22 @@ impl Runtime {
                 Ok(self.io_done(self.io.disk_base))
             }
             sys::FILE_READ => {
-                let Some(Some(f)) = self.fds.get(a0 as usize).cloned() else {
+                let Some(Some(f)) = self.fds.get_mut(a0 as usize) else {
                     Self::ret(m, -1);
                     return Ok(SysResult::Continue);
                 };
-                let content = self.world.files.get(&f.name).cloned().unwrap_or_default();
-                let end = (f.pos + a2 as usize).min(content.len());
-                let chunk = content[f.pos.min(content.len())..end].to_vec();
-                if let Some(Some(f)) = self.fds.get_mut(a0 as usize) {
-                    f.pos = end;
-                }
+                let content = self.world.files.get(&f.name).map_or(&[][..], Vec::as_slice);
+                let end = f.pos.saturating_add(a2 as usize).min(content.len());
+                let chunk = &content[f.pos.min(end)..end];
+                f.pos = end;
                 let tainted = self.cfg.source_on(Source::Disk);
                 let label = format!("file_read {}", f.name);
-                self.write_guest(m, a1, &chunk, tainted, &label)?;
-                let charged = self.io.disk_base + self.io.disk_per_byte * chunk.len() as u64;
+                Self::write_guest(&mut self.shadow, self.gran, m, a1, chunk, tainted, &label)?;
+                let n = chunk.len() as u64;
+                let charged = self.io.disk_base + self.io.disk_per_byte * n;
                 m.stats.charge_io(charged);
-                Self::trace_io(m, "file_read", chunk.len() as u64);
-                Self::ret(m, chunk.len() as i64);
+                Self::trace_io(m, "file_read", n);
+                Self::ret(m, n as i64);
                 Ok(self.io_done(charged))
             }
             sys::FILE_WRITE => {
@@ -789,6 +821,7 @@ impl Runtime {
                 let mut bytes = vec![0u8; a2 as usize];
                 m.mem.read_bytes(a1, &mut bytes)?;
                 let n = bytes.len() as u64;
+                self.snapshot_files();
                 self.world.files.entry(f.name.clone()).or_default().extend_from_slice(&bytes);
                 m.stats.charge_io(self.io.disk_base + self.io.disk_per_byte * n);
                 Self::trace_io(m, "file_write", n);
@@ -851,14 +884,21 @@ impl Runtime {
                 Ok(SysResult::Continue)
             }
             sys::GET_ARG => {
-                match self.world.args.get(a0 as usize).cloned() {
+                match self.world.args.get(a0 as usize) {
                     Some(arg) => {
-                        let n = arg.len().min(a2 as usize);
-                        let chunk = arg[..n].to_vec();
+                        let chunk = &arg[..arg.len().min(a2 as usize)];
                         let tainted = self.cfg.source_on(Source::Args);
                         let label = format!("arg#{a0}");
-                        self.write_guest(m, a1, &chunk, tainted, &label)?;
-                        Self::ret(m, n as i64);
+                        Self::write_guest(
+                            &mut self.shadow,
+                            self.gran,
+                            m,
+                            a1,
+                            chunk,
+                            tainted,
+                            &label,
+                        )?;
+                        Self::ret(m, chunk.len() as i64);
                     }
                     None => Self::ret(m, -1),
                 }
@@ -925,6 +965,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use shift_machine::Image;
 
     fn machine() -> Machine {
@@ -944,14 +985,14 @@ mod tests {
         let mut m = machine();
         let mut r = rt(World::new());
         let addr = layout::GLOBALS_BASE;
-        r.write_guest(&mut m, addr, b"evil", true, "test").unwrap();
+        Runtime::write_guest(&mut r.shadow, r.gran, &mut m, addr, b"evil", true, "test").unwrap();
         assert!(r.shadow.all_tainted(addr, 4));
         assert_eq!(r.shadow_mismatch(&mut m, addr, 4), None);
         let t = r.read_tainted(&mut m, addr, 4).unwrap();
         assert_eq!(t.bytes, b"evil");
         assert!(t.taint.iter().all(|&b| b));
         // Overwrite with clean data: taint must clear.
-        r.write_guest(&mut m, addr, b"ok", false, "test").unwrap();
+        Runtime::write_guest(&mut r.shadow, r.gran, &mut m, addr, b"ok", false, "test").unwrap();
         let t2 = r.read_tainted(&mut m, addr, 2).unwrap();
         assert!(t2.taint.iter().all(|&b| !b));
     }
@@ -961,7 +1002,7 @@ mod tests {
         let mut m = machine();
         let mut r = Runtime::new(TaintConfig::default_secure(), World::new(), None);
         let addr = layout::GLOBALS_BASE;
-        r.write_guest(&mut m, addr, b"evil", true, "test").unwrap();
+        Runtime::write_guest(&mut r.shadow, r.gran, &mut m, addr, b"evil", true, "test").unwrap();
         let t = r.read_tainted(&mut m, addr, 4).unwrap();
         assert!(t.taint.iter().all(|&b| !b), "no bitmap ⇒ sinks are blind");
         // …but ground truth still knows.
@@ -975,7 +1016,7 @@ mod tests {
             Runtime::new(TaintConfig::default_secure(), World::new(), Some(Granularity::Word));
         let addr = layout::GLOBALS_BASE;
         // Taint one byte: the word bit covers all 8.
-        r.write_guest(&mut m, addr, b"x", true, "test").unwrap();
+        Runtime::write_guest(&mut r.shadow, r.gran, &mut m, addr, b"x", true, "test").unwrap();
         assert_eq!(r.shadow_mismatch(&mut m, addr, 8), None);
         let t = r.read_tainted(&mut m, addr, 8).unwrap();
         assert!(t.taint.iter().all(|&b| b), "word-level tags are coarse");
@@ -1028,7 +1069,16 @@ mod tests {
         let mut m = machine();
         let mut r = rt(World::new());
         let q = layout::GLOBALS_BASE;
-        r.write_guest(&mut m, q, b"SELECT 1 OR '1'='1'", true, "test").unwrap();
+        Runtime::write_guest(
+            &mut r.shadow,
+            r.gran,
+            &mut m,
+            q,
+            b"SELECT 1 OR '1'='1'",
+            true,
+            "test",
+        )
+        .unwrap();
         m.cpu.set_gpr_val(Gpr::arg(0), q);
         m.cpu.set_gpr_val(Gpr::arg(1), 19);
         let res = r.syscall(&mut m, sys::SQL_EXEC);
@@ -1044,7 +1094,8 @@ mod tests {
         let mut m = machine();
         let mut r = rt(World::new());
         let q = layout::GLOBALS_BASE;
-        r.write_guest(&mut m, q, b"SELECT 'safe'", false, "test").unwrap();
+        Runtime::write_guest(&mut r.shadow, r.gran, &mut m, q, b"SELECT 'safe'", false, "test")
+            .unwrap();
         m.cpu.set_gpr_val(Gpr::arg(0), q);
         m.cpu.set_gpr_val(Gpr::arg(1), 13);
         assert_eq!(r.syscall(&mut m, sys::SQL_EXEC), SysResult::Continue);
@@ -1058,7 +1109,8 @@ mod tests {
         cfg.set_policy(Policy::H3, false);
         let mut r = Runtime::new(cfg, World::new(), Some(Granularity::Byte));
         let q = layout::GLOBALS_BASE;
-        r.write_guest(&mut m, q, b"x';DROP TABLE t;--", true, "test").unwrap();
+        Runtime::write_guest(&mut r.shadow, r.gran, &mut m, q, b"x';DROP TABLE t;--", true, "test")
+            .unwrap();
         m.cpu.set_gpr_val(Gpr::arg(0), q);
         m.cpu.set_gpr_val(Gpr::arg(1), 18);
         assert_eq!(r.syscall(&mut m, sys::SQL_EXEC), SysResult::Continue);
@@ -1095,6 +1147,248 @@ mod tests {
         m.cpu.set_gpr_val(Gpr::arg(0), 9);
         assert_eq!(r.syscall(&mut m, sys::GET_ARG), SysResult::Continue);
         assert_eq!(m.cpu.gpr(Gpr::RET).value as i64, -1);
+    }
+
+    /// Runs syscall `num` with arguments `args` and checks that it stops the
+    /// guest with an `Unmapped` fault at `buf` without changing memory or
+    /// the host shadow.
+    fn assert_refused(r: &mut Runtime, m: &mut Machine, num: u32, args: [u64; 3], buf: u64) {
+        for (i, a) in args.into_iter().enumerate() {
+            m.cpu.set_gpr_val(Gpr::arg(i), a);
+        }
+        let before = m.mem.digest();
+        match r.syscall(m, num) {
+            SysResult::Stop(Exit::Fault(Fault::Unmapped { addr, .. })) => assert_eq!(addr, buf),
+            other => panic!("expected an Unmapped fault at {buf:#x}, got {other:?}"),
+        }
+        assert_eq!(m.mem.digest(), before, "a refused copy-in must write no byte");
+        assert_eq!(r.shadow.tainted_bytes(), 0);
+    }
+
+    /// Region 0 is the tag space: a taint source may not deliver into it.
+    /// It used to accept the bytes and then panic the host looking up the
+    /// buffer's tags.
+    const TAG_SPACE_BUF: u64 = 0x100;
+
+    #[test]
+    fn net_read_into_tag_space_faults() {
+        let mut m = machine();
+        let mut r = rt(World::new().net("GET /x"));
+        assert_refused(&mut r, &mut m, sys::NET_READ, [TAG_SPACE_BUF, 64, 0], TAG_SPACE_BUF);
+    }
+
+    #[test]
+    fn kbd_read_into_tag_space_faults() {
+        let mut m = machine();
+        let mut r = rt(World::new().kbd("hello"));
+        assert_refused(&mut r, &mut m, sys::KBD_READ, [TAG_SPACE_BUF, 64, 0], TAG_SPACE_BUF);
+    }
+
+    #[test]
+    fn get_arg_into_tag_space_faults() {
+        let mut m = machine();
+        let mut r = rt(World::new().arg("--x"));
+        assert_refused(&mut r, &mut m, sys::GET_ARG, [0, TAG_SPACE_BUF, 64], TAG_SPACE_BUF);
+    }
+
+    #[test]
+    fn file_read_into_tag_space_faults() {
+        let mut m = machine();
+        let mut r = rt(World::new().file("f", b"data".to_vec()));
+        let path = layout::GLOBALS_BASE;
+        m.mem.write_bytes(path, b"f\0").unwrap();
+        m.cpu.set_gpr_val(Gpr::arg(0), path);
+        m.cpu.set_gpr_val(Gpr::arg(1), 0);
+        assert_eq!(r.syscall(&mut m, sys::FILE_OPEN), SysResult::Continue);
+        let fd = m.cpu.gpr(Gpr::RET).value;
+        assert_refused(&mut r, &mut m, sys::FILE_READ, [fd, TAG_SPACE_BUF, 64], TAG_SPACE_BUF);
+    }
+
+    #[test]
+    fn empty_copy_into_tag_space_is_a_no_op() {
+        // No byte needs a tag, so nothing is refused — as before.
+        let mut m = machine();
+        let mut r = rt(World::new().net(""));
+        m.cpu.set_gpr_val(Gpr::arg(0), TAG_SPACE_BUF);
+        m.cpu.set_gpr_val(Gpr::arg(1), 64);
+        assert_eq!(r.syscall(&mut m, sys::NET_READ), SysResult::Continue);
+        assert_eq!(m.cpu.gpr(Gpr::RET).value, 0);
+    }
+
+    #[test]
+    fn file_snapshot_is_taken_only_when_a_transaction_writes() {
+        let mut m = machine();
+        let mut r =
+            rt(World::new().net("a").net("b").file("log", b"x".to_vec())).with_transactions();
+        let path = layout::GLOBALS_BASE;
+        let buf = layout::GLOBALS_BASE + 256;
+        m.mem.write_bytes(path, b"log\0").unwrap();
+        let call = |r: &mut Runtime, m: &mut Machine, num: u32, args: [u64; 3]| {
+            for (i, a) in args.into_iter().enumerate() {
+                m.cpu.set_gpr_val(Gpr::arg(i), a);
+            }
+            assert_eq!(r.syscall(m, num), SysResult::Continue);
+            m.cpu.gpr(Gpr::RET).value
+        };
+        call(&mut r, &mut m, sys::NET_READ, [buf, 64, 0]);
+        let snapshot = |r: &Runtime| r.checkpoint.as_ref().map(|(_, rc)| rc.files.is_some());
+        assert_eq!(snapshot(&r), Some(false), "delivery alone copies no files");
+        let fd = call(&mut r, &mut m, sys::FILE_OPEN, [path, 1, 0]);
+        assert_eq!(snapshot(&r), Some(true), "a writable open snapshots first");
+        m.mem.write_bytes(buf, b"yz").unwrap();
+        call(&mut r, &mut m, sys::FILE_WRITE, [fd, buf, 2]);
+        assert_eq!(r.world_files()["log"], b"xyz");
+        // Rolling back restores the pre-transaction filesystem and hands the
+        // snapshot back; the redelivered request's transaction starts clean.
+        assert!(r.recover(&mut m));
+        assert_eq!(r.world_files()["log"], b"x");
+        assert_eq!(snapshot(&r), Some(false));
+        // A rollback of a transaction that never wrote leaves files alone.
+        assert!(r.recover(&mut m));
+        assert_eq!(r.world_files()["log"], b"x");
+    }
+
+    // ---- span-wise tag marking against the per-byte oracle ----------------
+
+    /// The per-byte marking loop that span-wise marking replaced, kept as
+    /// the oracle: one `tag_location` and one tag-byte read-modify-write
+    /// per data byte.
+    fn copy_in_per_byte(
+        shadow: &mut HostShadow,
+        gran: Granularity,
+        m: &mut Machine,
+        addr: u64,
+        bytes: &[u8],
+        tainted: bool,
+    ) -> Result<(), MemError> {
+        m.mem.write_bytes(addr, bytes)?;
+        shadow.set_range(addr, bytes.len() as u64, tainted);
+        for i in 0..bytes.len() as u64 {
+            let loc = tag_location(addr + i, gran).expect("guest buffers live in data regions");
+            let byte = m.mem.read_int(loc.byte_addr, 1)?;
+            let new =
+                if tainted { byte | u64::from(loc.mask) } else { byte & !u64::from(loc.mask) };
+            m.mem.write_int(loc.byte_addr, 1, new)?;
+        }
+        Ok(())
+    }
+
+    /// The per-byte bitmap read that the span-wise `read_tainted` replaced.
+    fn read_taint_per_byte(
+        gran: Granularity,
+        m: &mut Machine,
+        addr: u64,
+        len: u64,
+    ) -> Result<Vec<bool>, MemError> {
+        let mut bytes = vec![0u8; len as usize];
+        m.mem.read_bytes(addr, &mut bytes)?;
+        (0..len)
+            .map(|i| match tag_location(addr + i, gran) {
+                Ok(loc) => Ok(m.mem.read_int(loc.byte_addr, 1)? & u64::from(loc.mask) != 0),
+                Err(_) => Ok(false),
+            })
+            .collect()
+    }
+
+    /// What the span-wise path must leave exactly as the oracle does: the
+    /// memory digest, `(owned, shared, cow_faults)`, zero and resident
+    /// frames, and the pages journaled under the armed checkpoint.
+    fn mem_state(m: &Machine) -> (u64, (usize, usize, u64), usize, usize, usize) {
+        let mem = &m.mem;
+        (mem.digest(), mem.cow_stats(), mem.zero_pages(), mem.resident_pages(), mem.dirty_pages())
+    }
+
+    /// Mapped data bytes in the property machines: three 4 KiB tag pages'
+    /// worth (one tag page covers 32 KiB of data).
+    const PROP_MAPPED: u64 = 3 * 0x8000;
+
+    /// A machine whose bitmap pages are pre-seeded from `setup`: bits 0–2
+    /// pick which of the three tag pages hold random neighbour bits (the
+    /// others stay absent), bit 3 freezes the memory so seeded pages are
+    /// shared, bit 4 arms a checkpoint, bit 5 banks a spill NaT in the tag
+    /// space.
+    fn prop_machine(setup: u8, seed: u64) -> Machine {
+        let image = Image::builder()
+            .code(vec![shift_isa::Insn::new(shift_isa::Op::Halt)])
+            .map(layout::DATA_BASE, PROP_MAPPED)
+            .build();
+        let mut m = Machine::new(&image);
+        let tag_base = tag_location(layout::DATA_BASE, Granularity::Byte).unwrap().byte_addr;
+        let mut x = seed | 1;
+        for page in 0..3u64 {
+            if setup & (1 << page) != 0 {
+                let bytes: Vec<u8> = (0..4096)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect();
+                m.mem.write_bytes(tag_base + page * 4096, &bytes).unwrap();
+            }
+        }
+        if setup & 8 != 0 {
+            m.mem.freeze();
+        }
+        if setup & 16 != 0 {
+            m.mem.begin_checkpoint();
+        }
+        if setup & 32 != 0 {
+            m.mem.set_spill_nat(tag_base + (seed % 0x3000), true);
+        }
+        m
+    }
+
+    /// A data range in the property machine: mostly around a 32 KiB
+    /// boundary (so its tag run crosses a bitmap page), sometimes anywhere;
+    /// lengths from 0 to multi-page, sometimes running off the mapping.
+    fn prop_range() -> impl Strategy<Value = (u64, u64)> {
+        prop_oneof![
+            (1u64..3, 0u64..1400, 0u64..1500).prop_map(|(k, d, len)| (k * 0x8000 - 700 + d, len)),
+            (0u64..PROP_MAPPED, 0u64..64).prop_map(|(off, len)| (off, len)),
+            (0u64..PROP_MAPPED, 0u64..70_000).prop_map(|(off, len)| (off, len)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn span_wise_tags_match_the_per_byte_loop(
+            setup in 0u8..64,
+            seed in any::<u64>(),
+            word in any::<bool>(),
+            writes in prop::collection::vec((prop_range(), any::<bool>()), 1..4),
+            read in prop_range(),
+        ) {
+            let gran = if word { Granularity::Word } else { Granularity::Byte };
+            let mut bulk = prop_machine(setup, seed);
+            let mut oracle = bulk.clone();
+            let mut r = Runtime::new(TaintConfig::default_secure(), World::new(), Some(gran));
+            let mut shadow = HostShadow::new();
+            for ((off, len), tainted) in writes {
+                let addr = layout::DATA_BASE + off;
+                let bytes = vec![0x5a; len as usize];
+                let got = Runtime::write_guest(&mut r.shadow, r.gran, &mut bulk, addr, &bytes, tainted, "prop");
+                let want = copy_in_per_byte(&mut shadow, gran, &mut oracle, addr, &bytes, tainted);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(mem_state(&bulk), mem_state(&oracle));
+                prop_assert_eq!(r.shadow.tainted_bytes(), shadow.tainted_bytes());
+            }
+            let (off, len) = read;
+            let addr = layout::DATA_BASE + off;
+            let got = r.read_tainted(&mut bulk, addr, len).map(|t| t.taint);
+            let want = read_taint_per_byte(gran, &mut oracle, addr, len);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(mem_state(&bulk), mem_state(&oracle));
+            // The journal must hold the same pre-images: rolling back lands
+            // both on the same frames.
+            if bulk.mem.rollback_checkpoint() {
+                oracle.mem.rollback_checkpoint();
+                prop_assert_eq!(mem_state(&bulk), mem_state(&oracle));
+            }
+        }
     }
 
     #[test]

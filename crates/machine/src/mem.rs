@@ -761,22 +761,64 @@ impl Memory {
             let slot = self.slot_for(a, true)?;
             let frame = self.page_bytes_mut(slot);
             frame[off..off + span].copy_from_slice(&data[done..done + span]);
-            if !self.spill_nat.is_empty() {
-                // Invalidate every 8-byte spill slot the span overlaps.
-                let first = a & !7;
-                let last = (a + span as u64 - 1) & !7;
-                let mut s = first;
-                loop {
-                    self.spill_nat.remove(&s);
-                    if s == last {
-                        break;
-                    }
-                    s += 8;
-                }
-            }
+            self.invalidate_spills(a, span as u64);
             done += span;
         }
         Ok(())
+    }
+
+    /// Read-modify-writes the `len` bytes starting at `addr` in place, a
+    /// page span at a time: `f(done, span)` receives each span's bytes and
+    /// its offset into the range.
+    ///
+    /// Each page resolves as a read and then as a write, exactly as the
+    /// first `read_int` + `write_int` pair of a byte-at-a-time loop over
+    /// the range would: an absent region-0 page is faulted in backing-free
+    /// before the write journals it (as a zero pre-image) and COW-faults
+    /// it. Every byte of the range counts as written — pages are journaled
+    /// and owned even where `f` changes nothing — and overlapped spill
+    /// slots lose their banked NaT bit. On error, spans before the
+    /// faulting page have already been modified, as with the loop.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError`] if any byte is unimplemented or unmapped.
+    pub fn modify_bytes(
+        &mut self,
+        addr: u64,
+        len: u64,
+        mut f: impl FnMut(u64, &mut [u8]),
+    ) -> Result<(), MemError> {
+        let mut done = 0u64;
+        while done < len {
+            let a = addr.wrapping_add(done);
+            let off = (a % PAGE_SIZE) as usize;
+            let span = (PAGE_SIZE - off as u64).min(len - done);
+            self.slot_for(a, false)?;
+            let slot = self.slot_for(a, true)?;
+            f(done, &mut self.page_bytes_mut(slot)[off..off + span as usize]);
+            self.invalidate_spills(a, span);
+            done += span;
+        }
+        Ok(())
+    }
+
+    /// Drops the banked NaT bit of every 8-byte spill slot that the `len`
+    /// bytes written at `addr` overlap (`len > 0`).
+    #[inline]
+    fn invalidate_spills(&mut self, addr: u64, len: u64) {
+        if self.spill_nat.is_empty() {
+            return;
+        }
+        let last = (addr + len - 1) & !7;
+        let mut s = addr & !7;
+        loop {
+            self.spill_nat.remove(&s);
+            if s == last {
+                break;
+            }
+            s += 8;
+        }
     }
 
     /// Reads a NUL-terminated string starting at `addr`, up to `max` bytes

@@ -90,6 +90,22 @@ impl NaiveMem {
         Ok(())
     }
 
+    fn modify_bytes(
+        &mut self,
+        addr: u64,
+        len: u64,
+        mut f: impl FnMut(u64, &mut [u8]),
+    ) -> Result<(), MemError> {
+        for i in 0..len {
+            let a = addr.wrapping_add(i);
+            self.check(a, 1, false)?;
+            let b = self.bytes.entry(a).or_insert(0);
+            f(i, std::slice::from_mut(b));
+            self.spill.remove(&(a & !7));
+        }
+        Ok(())
+    }
+
     fn read_cstr(&mut self, addr: u64, max: usize) -> Result<Vec<u8>, MemError> {
         let mut out = Vec::new();
         for i in 0..max as u64 {
@@ -157,6 +173,7 @@ enum Op {
     WriteInt { off: u64, size: u64, val: u64 },
     ReadBytes { off: u64, len: usize },
     WriteBytes { off: u64, len: usize, seed: u8 },
+    ModifyBytes { off: u64, len: u64, seed: u8 },
     ReadCstr { off: u64, max: usize },
     SpillNat { off: u64, nat: bool },
     Begin,
@@ -180,6 +197,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         (off.clone(), 0usize..6000).prop_map(|(off, len)| Op::ReadBytes { off, len }),
         (off.clone(), 0usize..6000, any::<u8>()).prop_map(|(off, len, seed)| Op::WriteBytes {
+            off,
+            len,
+            seed
+        }),
+        (off.clone(), 0u64..6000, any::<u8>()).prop_map(|(off, len, seed)| Op::ModifyBytes {
             off,
             len,
             seed
@@ -249,6 +271,19 @@ fn apply(mem: &mut Memory, naive: &mut NaiveMem, base: u64, op: &Op) {
         Op::WriteBytes { off, len, seed } => {
             let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
             assert_eq!(mem.write_bytes(base + off, &data), naive.write_bytes(base + off, &data));
+        }
+        Op::ModifyBytes { off, len, seed } => {
+            // Each byte's new value depends on its old value and its offset
+            // into the range, so a span handed over at the wrong offset shows.
+            let f = |first: u64, span: &mut [u8]| {
+                for (i, b) in (first..).zip(span.iter_mut()) {
+                    *b = b.rotate_left(1) ^ seed.wrapping_add(i as u8);
+                }
+            };
+            assert_eq!(
+                mem.modify_bytes(base + off, len, f),
+                naive.modify_bytes(base + off, len, f)
+            );
         }
         Op::ReadCstr { off, max } => {
             assert_eq!(mem.read_cstr(base + off, max), naive.read_cstr(base + off, max));

@@ -256,7 +256,10 @@ impl TraceRing {
             cap,
             seq: 0,
             dropped: 0,
-            events: VecDeque::with_capacity(cap.min(DEFAULT_TRACE_CAP)),
+            // Grown on demand: most rings hold a few dozen events, and
+            // reserving the full cap up front cost more host time per
+            // connection than recording them.
+            events: VecDeque::new(),
             sample_every: 0,
             next_sample: 0,
             samples: Vec::new(),

@@ -13,6 +13,9 @@
 //!   translation cannot be a single shift: the region number is folded down
 //!   next to the shifted offset, landing every tag in region 0 (which the
 //!   paper reuses because it is reserved for IA-32 code);
+//! * [`tag_range`] — the same translation for a whole data range: the
+//!   contiguous run of tag bytes it maps to, with edge masks, so taint
+//!   sources can update the bitmap a span at a time;
 //! * [`HostShadow`] — a host-side, byte-granularity reference taint map.
 //!   The *instrumented guest code* maintains the real bitmap in simulated
 //!   memory; the shadow is the oracle the test-suite (and the `debug_taint`
@@ -179,15 +182,99 @@ pub fn tag_location(vaddr: u64, gran: Granularity) -> Result<TagLocation, TagAdd
     Ok(TagLocation { byte_addr, mask })
 }
 
-/// Number of bytes of tag space needed to cover `len` data bytes starting at
-/// `vaddr` (used to pre-reserve bitmap pages).
-pub fn tag_span(vaddr: u64, len: u64, gran: Granularity) -> u64 {
-    if len == 0 {
-        return 0;
+/// The contiguous run of tag bytes that holds the tags of a data range, with
+/// the masks that select the range's tags inside each of those bytes.
+///
+/// This is the bulk form of [`tag_location`]: applying [`TagRange::mark`]
+/// to the run's tag bytes leaves them exactly as a per-byte loop of
+/// `tag_location` + masked read-modify-write would. At byte granularity only
+/// the first and last tag bytes can be partial; at word granularity every
+/// mask is `0xff`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TagRange {
+    /// Full virtual address (region 0) of the first tag byte.
+    pub byte_addr: u64,
+    /// Number of tag bytes in the run (0 for an empty data range).
+    pub len: u64,
+    /// Bit position of the first data byte inside the first tag byte.
+    lead: u8,
+    /// Bit position of the last data byte inside the last tag byte.
+    tail: u8,
+    gran: Granularity,
+}
+
+impl TagRange {
+    /// The mask selecting the range's tags inside tag byte `i` of the run.
+    #[inline]
+    pub fn mask(&self, i: u64) -> u8 {
+        if self.gran == Granularity::Word {
+            return 0xff;
+        }
+        let mut mask = 0xff;
+        if i == 0 {
+            mask &= 0xffu8 << self.lead;
+        }
+        if i + 1 == self.len {
+            mask &= 0xffu8 >> (7 - self.tail);
+        }
+        mask
     }
-    let first = offset_of(vaddr) >> gran.byte_shift();
-    let last = offset_of(vaddr + len - 1) >> gran.byte_shift();
-    last - first + 1
+
+    /// Sets (or clears) the range's tags in `tags`, which holds tag bytes
+    /// `first..first + tags.len()` of the run; bits outside the range keep
+    /// their value.
+    pub fn mark(&self, first: u64, tags: &mut [u8], tainted: bool) {
+        let set = |b: &mut u8, mask: u8| *b = if tainted { *b | mask } else { *b & !mask };
+        let Some((head, rest)) = tags.split_first_mut() else { return };
+        set(head, self.mask(first));
+        let Some((tail, middle)) = rest.split_last_mut() else { return };
+        set(tail, self.mask(first + 1 + middle.len() as u64));
+        // Only the run's first and last bytes can be partial.
+        middle.fill(if tainted { 0xff } else { 0 });
+    }
+
+    /// Whether data byte `j` of the range is tagged, given all of the run's
+    /// tag bytes in `tags`.
+    #[inline]
+    pub fn is_tainted(&self, tags: &[u8], j: u64) -> bool {
+        let pos = u64::from(self.lead) + j;
+        let mask = match self.gran {
+            Granularity::Byte => 1u8 << (pos & 7),
+            Granularity::Word => 0xff,
+        };
+        tags[(pos >> 3) as usize] & mask != 0
+    }
+}
+
+/// Maps the data range `[vaddr, vaddr + len)` to the run of tag bytes that
+/// holds its tags (see [`TagRange`]). An empty range needs no tags and maps
+/// to an empty run, whatever `vaddr` is.
+///
+/// # Errors
+///
+/// [`TagAddrError::RegionZero`] when the range starts in region 0 (the tag
+/// space does not tag itself), otherwise [`TagAddrError::Unimplemented`]
+/// when either end is unimplemented or the range crosses from one region
+/// into another — which means it runs through the unimplemented hole
+/// between them, so no access to the whole range can succeed. Callers that
+/// want the taggable parts of such a range split it at region boundaries.
+pub fn tag_range(vaddr: u64, len: u64, gran: Granularity) -> Result<TagRange, TagAddrError> {
+    if len == 0 {
+        return Ok(TagRange { byte_addr: 0, len: 0, lead: 0, tail: 0, gran });
+    }
+    let first = tag_location(vaddr, gran)?;
+    let end = vaddr.checked_add(len - 1).ok_or(TagAddrError::Unimplemented)?;
+    let last = tag_location(end, gran)?;
+    if region_of(end) != region_of(vaddr) {
+        return Err(TagAddrError::Unimplemented);
+    }
+    Ok(TagRange {
+        byte_addr: first.byte_addr,
+        len: last.byte_addr - first.byte_addr + 1,
+        lead: (offset_of(vaddr) & 7) as u8,
+        tail: (offset_of(end) & 7) as u8,
+        gran,
+    })
 }
 
 /// Host-side reference taint map at byte granularity.
@@ -585,14 +672,20 @@ mod tests {
     }
 
     #[test]
-    fn tag_span_counts_touched_tag_bytes() {
+    fn tag_range_counts_touched_tag_bytes() {
         let base = make_vaddr(1, 0);
-        assert_eq!(tag_span(base, 0, Granularity::Byte), 0);
-        assert_eq!(tag_span(base, 1, Granularity::Byte), 1);
-        assert_eq!(tag_span(base, 8, Granularity::Byte), 1);
-        assert_eq!(tag_span(base, 9, Granularity::Byte), 2);
-        assert_eq!(tag_span(base, 8, Granularity::Word), 1);
-        assert_eq!(tag_span(base, 9, Granularity::Word), 2);
+        let len = |n, gran| tag_range(base, n, gran).unwrap().len;
+        assert_eq!(len(0, Granularity::Byte), 0);
+        assert_eq!(len(1, Granularity::Byte), 1);
+        assert_eq!(len(8, Granularity::Byte), 1);
+        assert_eq!(len(9, Granularity::Byte), 2);
+        assert_eq!(len(8, Granularity::Word), 1);
+        assert_eq!(len(9, Granularity::Word), 2);
+        // Byte mode: partial edge masks; word mode: whole bytes.
+        let r = tag_range(base + 3, 7, Granularity::Byte).unwrap();
+        assert_eq!((r.mask(0), r.mask(1)), (0b1111_1000, 0b0000_0011));
+        let r = tag_range(base + 3, 7, Granularity::Word).unwrap();
+        assert_eq!((r.mask(0), r.mask(1)), (0xff, 0xff));
     }
 
     #[test]

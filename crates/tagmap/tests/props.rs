@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use shift_isa::{make_vaddr, region_of, IMPL_MASK};
-use shift_tagmap::{tag_location, tag_span, Granularity, HostShadow};
+use shift_tagmap::{tag_location, tag_range, Granularity, HostShadow, TagAddrError};
 
 fn data_addr() -> impl Strategy<Value = u64> {
     // Any implemented address in regions 1–7.
@@ -97,17 +97,53 @@ proptest! {
         prop_assert_eq!(la.byte_addr == lb.byte_addr, same_word);
     }
 
-    /// `tag_span` covers exactly the tag bytes the per-byte translation
-    /// touches.
+    /// `tag_range` is the per-byte translation in bulk: its run starts and
+    /// ends at the first and last byte's tag, its masks are the union of the
+    /// per-byte masks on each tag byte, and it reads each byte's tag back.
     #[test]
-    fn span_matches_pointwise_translation(addr in data_addr(), len in 1u64..256) {
+    fn range_matches_pointwise_translation(
+        addr in data_addr(),
+        len in 0u64..256,
+        tags in prop::collection::vec(any::<u8>(), 33),
+    ) {
         prop_assume!(shift_isa::offset_of(addr) + len <= IMPL_MASK);
         for gran in Granularity::ALL {
-            let span = tag_span(addr, len, gran);
-            let first = tag_location(addr, gran).unwrap().byte_addr;
-            let last = tag_location(addr + len - 1, gran).unwrap().byte_addr;
-            prop_assert_eq!(span, last - first + 1);
+            let range = tag_range(addr, len, gran).unwrap();
+            if len > 0 {
+                let first = tag_location(addr, gran).unwrap().byte_addr;
+                let last = tag_location(addr + len - 1, gran).unwrap().byte_addr;
+                prop_assert_eq!((range.byte_addr, range.len), (first, last - first + 1));
+            }
+            let mut masks = vec![0u8; range.len as usize];
+            for j in 0..len {
+                let loc = tag_location(addr + j, gran).unwrap();
+                let i = loc.byte_addr - range.byte_addr;
+                masks[i as usize] |= loc.mask;
+                prop_assert_eq!(range.is_tainted(&tags, j), tags[i as usize] & loc.mask != 0);
+            }
+            for (i, &mask) in masks.iter().enumerate() {
+                prop_assert_eq!(range.mask(i as u64), mask, "tag byte {}", i);
+            }
+            let mut marked = tags[..masks.len()].to_vec();
+            range.mark(0, &mut marked, true);
+            for (i, (&m, &t)) in marked.iter().zip(&tags).enumerate() {
+                prop_assert_eq!(m, t | masks[i]);
+            }
         }
+    }
+
+    /// Ranges that leave their region, start in region 0 or touch
+    /// unimplemented bits are refused; an empty range never is.
+    #[test]
+    fn range_refuses_untaggable_spans(addr in data_addr(), len in 2u64..4096) {
+        let gran = Granularity::Byte;
+        prop_assert!(tag_range(make_vaddr(0, 0x100), 0, gran).is_ok());
+        prop_assert_eq!(
+            tag_range(make_vaddr(0, 0x100), len, gran),
+            Err(TagAddrError::RegionZero)
+        );
+        let near_end = make_vaddr(region_of(addr), IMPL_MASK - len / 2);
+        prop_assert_eq!(tag_range(near_end, len, gran), Err(TagAddrError::Unimplemented));
     }
 
     /// The shadow map's taint count is exactly the number of set bytes,
