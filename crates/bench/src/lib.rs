@@ -601,6 +601,10 @@ fn quartiles<T: Copy + PartialOrd>(xs: &mut [T]) -> (T, T, T) {
     (xs[n / 4], xs[n / 2], xs[(3 * n) / 4])
 }
 
+/// Interleaved small/large batch pairs [`spawn_latency`]'s ratio estimate
+/// takes the median of.
+pub const SPAWN_LATENCY_PAIRS: usize = 21;
+
 /// The spawn-latency experiment (DESIGN.md §15): is `MachineSeed::spawn`
 /// really O(1) in the image size?
 #[derive(Clone, Debug)]
@@ -609,14 +613,19 @@ pub struct SpawnLatency {
     pub small_pages: u64,
     /// Resident pages of the large image (4× the small one's data).
     pub large_pages: u64,
-    /// Best-of-three per-spawn host cost from the small image, in ns.
+    /// Median per-spawn host cost from the small image, in ns.
     pub small_spawn_ns: u64,
-    /// Best-of-three per-spawn host cost from the large image, in ns.
+    /// Median per-spawn host cost from the large image, in ns.
     pub large_spawn_ns: u64,
-    /// `large_spawn_ns / small_spawn_ns`. O(1) spawning keeps this near
-    /// 1.0 regardless of the 4× size gap; the deep-clone implementation
-    /// this replaced scaled it with the page count.
+    /// Median over the pairs of the large/small per-spawn cost ratio.
+    /// O(1) spawning keeps this near 1.0 regardless of the 4× size gap;
+    /// the deep-clone implementation this replaced scaled it with the page
+    /// count.
     pub o1_ratio: f64,
+    /// Spread of the per-pair ratios: their quartile distance (q3 − q1).
+    pub o1_iqr: f64,
+    /// Small/large batch pairs measured.
+    pub pairs: u64,
     /// Private pages a fresh spawn starts with — 0 under copy-on-write
     /// sharing (every pristine page is shared or canonical-zero).
     pub spawn_owned_pages: u64,
@@ -627,8 +636,11 @@ pub struct SpawnLatency {
 /// and reports the ratio.
 ///
 /// Each image is loaded once; spawns are timed in batches (the per-spawn
-/// cost is far below timer granularity) with the best of three batches kept
-/// as a noise filter.
+/// cost is far below timer granularity), one small and one large batch per
+/// pair, in an order that alternates from pair to pair so a drift in host
+/// speed hits both alike. The estimate is the median of the
+/// [`SPAWN_LATENCY_PAIRS`] per-pair ratios, with their quartile distance as
+/// the spread, like [`trace_overhead`]'s.
 /// Under page sharing both images spawn by bumping the same number of
 /// reference counts, so the ratio stays near 1.0; CI asserts it under 1.5,
 /// a bound the old deep-clone spawn (~4× here, by construction) fails.
@@ -645,29 +657,37 @@ pub fn spawn_latency() -> SpawnLatency {
             .build();
         MachineSeed::new(&image)
     };
+    // Per-spawn cost of one batch, in ns.
     let measure = |seed: &MachineSeed| -> u64 {
         const BATCH: u32 = 256;
-        let mut best = u64::MAX;
-        for _ in 0..3 {
-            let t = Instant::now();
-            for _ in 0..BATCH {
-                std::hint::black_box(seed.spawn());
-            }
-            best = best.min((t.elapsed().as_nanos() as u64 / u64::from(BATCH)).max(1));
+        let t = Instant::now();
+        for _ in 0..BATCH {
+            std::hint::black_box(seed.spawn());
         }
-        best
+        (t.elapsed().as_nanos() as u64 / u64::from(BATCH)).max(1)
     };
 
-    let small = build(256); // 1 MiB of image data
-    let large = build(1024); // 4 MiB
-    let small_spawn_ns = measure(&small);
-    let large_spawn_ns = measure(&large);
+    let seeds = [build(256), build(1024)]; // 1 MiB and 4 MiB of image data
+    let (mut small_ns, mut large_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..SPAWN_LATENCY_PAIRS {
+        let mut ns = [0u64; 2];
+        for which in [pair % 2, 1 - pair % 2] {
+            ns[which] = measure(&seeds[which]);
+        }
+        small_ns.push(ns[0]);
+        large_ns.push(ns[1]);
+        ratios.push(ns[1] as f64 / ns[0] as f64);
+    }
+    let (q1, o1_ratio, q3) = quartiles(&mut ratios);
+    let [small, large] = seeds;
     SpawnLatency {
         small_pages: small.resident_pages() as u64,
         large_pages: large.resident_pages() as u64,
-        small_spawn_ns,
-        large_spawn_ns,
-        o1_ratio: large_spawn_ns as f64 / small_spawn_ns as f64,
+        small_spawn_ns: quartiles(&mut small_ns).1,
+        large_spawn_ns: quartiles(&mut large_ns).1,
+        o1_ratio,
+        o1_iqr: q3 - q1,
+        pairs: SPAWN_LATENCY_PAIRS as u64,
         spawn_owned_pages: large.spawn().mem.owned_pages() as u64,
     }
 }
@@ -1229,6 +1249,8 @@ pub fn bench_summary(
                 ("small_spawn_ns", Json::U64(spawn.small_spawn_ns)),
                 ("large_spawn_ns", Json::U64(spawn.large_spawn_ns)),
                 ("o1_ratio", Json::F64(spawn.o1_ratio)),
+                ("o1_iqr", Json::F64(spawn.o1_iqr)),
+                ("pairs", Json::U64(spawn.pairs)),
                 ("spawn_owned_pages", Json::U64(spawn.spawn_owned_pages)),
             ]),
         ),

@@ -266,42 +266,11 @@ impl Fleet {
         workers: usize,
     ) -> FleetReport {
         let start = std::time::Instant::now();
-        let n = connections.len();
         let width = workers.max(1);
-        let host_workers = width.min(n.max(1));
-        // Shard round-robin: worker k owns connections k, k+host, … — the
-        // same assignment the modelled fleet uses, so an unstolen run
-        // touches each connection on its "own" instance's thread.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..host_workers).map(|k| Mutex::new((k..n).step_by(host_workers).collect())).collect();
-        let slots: Vec<Mutex<Option<ConnectionReport>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for k in 0..host_workers {
-                let queues = &queues;
-                let slots = &slots;
-                s.spawn(move || loop {
-                    // Own queue first, then steal from the back of others.
-                    let mut job = queues[k].lock().expect("queue poisoned").pop_front();
-                    if job.is_none() {
-                        for other in queues {
-                            job = other.lock().expect("queue poisoned").pop_back();
-                            if job.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let Some(c) = job else { break };
-                    let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
-                    let report = self.serve_one(base, &connections[c], inj, c, width);
-                    *slots[c].lock().expect("slot poisoned") = Some(report);
-                });
-            }
+        let reports = work_steal(connections.len(), width, |c| {
+            let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
+            self.serve_one(base, &connections[c], inj, c, width)
         });
-        let reports: Vec<ConnectionReport> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot poisoned").expect("connection not served"))
-            .collect();
         Self::aggregate(width, reports, start.elapsed().as_nanos() as u64)
     }
 
@@ -453,38 +422,14 @@ impl Fleet {
         assert_eq!(connections.len(), arrivals.len(), "one arrival cycle per connection");
         let start = std::time::Instant::now();
         let n = connections.len();
-        let host = host_workers.max(1).min(n.max(1));
         let width = cfg.workers.max(1);
-        // Phase 1: parallel trace capture over the bounded host pool (the
-        // same sharded work-stealing shape as `serve_chaos`).
-        type TracedSlot = Mutex<Option<(ConnectionReport, Vec<Segment>)>>;
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..host).map(|k| Mutex::new((k..n).step_by(host).collect())).collect();
-        let slots: Vec<TracedSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for k in 0..host {
-                let queues = &queues;
-                let slots = &slots;
-                s.spawn(move || loop {
-                    let mut job = queues[k].lock().expect("queue poisoned").pop_front();
-                    if job.is_none() {
-                        for other in queues {
-                            job = other.lock().expect("queue poisoned").pop_back();
-                            if job.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let Some(c) = job else { break };
-                    let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
-                    let traced = self.serve_one_traced(base, &connections[c], inj, c, width);
-                    *slots[c].lock().expect("slot poisoned") = Some(traced);
-                });
-            }
-        });
-        let (reports, traces): (Vec<ConnectionReport>, Vec<Vec<Segment>>) = slots
+        // Phase 1: parallel trace capture over the bounded host pool.
+        let (reports, traces): (Vec<ConnectionReport>, Vec<Vec<Segment>>) =
+            work_steal(n, host_workers, |c| {
+                let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
+                self.serve_one_traced(base, &connections[c], inj, c, width)
+            })
             .into_iter()
-            .map(|slot| slot.into_inner().expect("slot poisoned").expect("connection not traced"))
             .unzip();
         // Phase 2: the sequential event loop.
         let trace_on = self.shift.flight().is_some();
@@ -642,6 +587,43 @@ impl Fleet {
             host_ns,
         }
     }
+}
+
+/// Runs `job(c)` for every `c` in `0..n` on up to `host_workers` scoped
+/// threads and returns the results in index order, whichever thread ran
+/// them. Worker `k` owns the round-robin shard `k, k + host, …` — the same
+/// assignment the modelled fleet uses, so an unstolen run touches each
+/// connection on its "own" instance's thread — and, once that is empty,
+/// steals from the back of the other shards in order.
+fn work_steal<T: Send>(n: usize, host_workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let host = host_workers.max(1).min(n.max(1));
+    let queues: Vec<Mutex<VecDeque<usize>>> =
+        (0..host).map(|k| Mutex::new((k..n).step_by(host).collect())).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for k in 0..host {
+            let (queues, slots, job) = (&queues, &slots, &job);
+            s.spawn(move || loop {
+                // Own queue first, then steal from the back of others.
+                let mut next = queues[k].lock().expect("queue poisoned").pop_front();
+                if next.is_none() {
+                    for other in queues {
+                        next = other.lock().expect("queue poisoned").pop_back();
+                        if next.is_some() {
+                            break;
+                        }
+                    }
+                }
+                let Some(c) = next else { break };
+                let out = job(c);
+                *slots[c].lock().expect("slot poisoned") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot poisoned").expect("job not run"))
+        .collect()
 }
 
 /// One connection's row in an [`OpenLoopReport`]: the scheduler disposition

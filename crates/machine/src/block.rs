@@ -1,26 +1,28 @@
 //! Pre-decoded superblock program: straight-line instruction runs flattened
-//! into a micro-op arena for the trace-threaded dispatch tier.
+//! into a micro-op arena for the block driver.
 //!
-//! The per-instruction dispatcher in [`crate::Machine`] pays fixed costs on
-//! every instruction: a bounds-checked fetch from `code`, a budget compare,
-//! an `ip` store, a second indexed load for the base cost, and four
-//! read-modify-writes into [`crate::Stats`]. A [`BlockProgram`] removes all
-//! of them from straight-line code: every basic block is decoded **once**
-//! (at [`crate::MachineSeed`] build time) into a flat arena of uniform
-//! [`MicroOp`]s whose qualifying predicate, provenance label, and base cycle
-//! cost ride alongside the operation, and the executor walks a block with a
-//! plain slice iterator, folding retire accounting into stack-local
-//! accumulators that are flushed exactly once per block.
+//! The per-instruction stepper in [`crate::Machine`] pays fixed costs on
+//! every instruction: a bounds-checked fetch, a budget compare, an `ip`
+//! store, and four read-modify-writes into [`crate::Stats`]. A
+//! [`BlockProgram`] removes all of them from straight-line code: every
+//! basic block is decoded **once** (at [`crate::MachineSeed`] build time)
+//! into a flat arena of uniform [`MicroOp`]s whose qualifying predicate,
+//! provenance label, and base cycle cost ride alongside the operation, and
+//! the block driver walks a block with a plain slice iterator, folding
+//! retire accounting into stack-local accumulators that are flushed exactly
+//! once per block. The arena is index-aligned with the code, so the stepper
+//! fetches its micro-ops from it too.
 //!
-//! Everything here is a **host-speed detail**: a superblock executes the
-//! same architectural steps, charges the same modelled cycles, and raises
-//! the same faults as the per-instruction stepper, instruction for
-//! instruction. The differential proptests in
+//! Everything here is a **host-speed detail**: both drivers run the same
+//! per-opcode semantics over the same micro-ops, so a superblock executes
+//! the same architectural steps, charges the same modelled cycles, and
+//! raises the same faults as the stepper, instruction for instruction. The
+//! differential proptests in
 //! `crates/machine/tests/block_props.rs` and the golden fixture in
 //! `tests/perf_invariance.rs` enforce this bit-identity.
 //!
 //! See DESIGN.md §13 for the discovery rules, the boundary-check contract,
-//! and the dispatch-tier diagram.
+//! and the driver-selection diagram.
 
 use shift_isa::{CostModel, Insn, Op, Provenance};
 
@@ -29,13 +31,12 @@ pub(crate) const NPROV: usize = Provenance::ALL.len();
 
 /// A decoded instruction in the superblock arena.
 ///
-/// "Uniform" means every field the executor needs is pre-resolved here, in
+/// "Uniform" means every field a driver needs is pre-resolved here, in
 /// one contiguous record: the operation payload (whose register operands are
 /// already architectural indices — `Gpr`/`Pr`/`Br` are `repr(u8)`), the
 /// qualifying predicate, the provenance label for cycle attribution, and the
-/// base cycle cost that the cold path would re-derive from
-/// `CostModel::base`. The executor never touches `code` or `base_cost`
-/// while inside a block.
+/// base cycle cost. Neither driver touches `code` or the cost model to
+/// fetch an instruction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MicroOp {
     /// The operation, verbatim from the decoded [`Insn`].
@@ -46,15 +47,15 @@ pub(crate) struct MicroOp {
     pub prov: Provenance,
     /// Precomputed *effective* base cycles: `CostModel::base`, except that
     /// unconditional control transfers (`jmp`, `call`, `jmp.br`) carry
-    /// `branch_taken` — inside a block they always take, so the executor
-    /// need not special-case them at retire time.
+    /// `branch_taken` — whenever they execute they take, so neither driver
+    /// special-cases them at retire time.
     pub base: u32,
 }
 
 /// One entry of a block's precomputed *full-pass* retire accounting:
 /// `insns` instructions costing `cycles` cycles, attributed to provenance
 /// index `prov`, assuming an undeviated pass (every predicate on, no memory
-/// stalls, `chk.s` falling through). The executor merges these entries when
+/// stalls, `chk.s` falling through). The block driver merges these entries when
 /// a block completes and records only *deviations* from the assumption as
 /// they happen, so conforming micro-ops retire with zero accounting work.
 /// Blocks touch one or two provenance labels in practice, so the sparse
@@ -79,17 +80,11 @@ pub(crate) struct ProvAcct {
 /// next leader (an instruction some branch targets).
 #[derive(Clone, Debug)]
 pub(crate) struct Block {
-    /// Instruction index of the block's first instruction.
+    /// Instruction index of the block's first instruction, which is also
+    /// the offset of its first micro-op in [`BlockProgram::uops`].
     pub start: u32,
-    /// Offset of the block's first micro-op in [`BlockProgram::uops`].
-    pub uop_start: u32,
     /// Number of instructions (== micro-ops) in the block.
     pub len: u32,
-    /// `true` when the block can take the semantics-only fast loop: every
-    /// micro-op is unpredicated and none has a dynamic cycle cost (memory
-    /// stalls, `chk.s` outcomes) or can fault / trap mid-block — so a full
-    /// pass can never deviate from the precomputed accounting.
-    pub pure: bool,
     /// First entry of this block's full-pass accounting in
     /// [`BlockProgram::accts`].
     pub acct_start: u32,
@@ -109,8 +104,8 @@ pub(crate) struct Block {
 pub(crate) struct BlockProgram {
     /// All blocks, ordered by `start`.
     pub blocks: Box<[Block]>,
-    /// Flat micro-op arena; block `b` owns
-    /// `uops[b.uop_start .. b.uop_start + b.len]`.
+    /// Flat micro-op arena, index-aligned with the code: `uops[ip]` is
+    /// instruction `ip`, and block `b` owns `uops[b.start .. b.start + b.len]`.
     pub uops: Box<[MicroOp]>,
     /// Sparse precomputed full-pass accounting; block `b` owns
     /// `accts[b.acct_start .. b.acct_start + b.acct_len]`.
@@ -128,7 +123,7 @@ impl BlockProgram {
     /// so every statically-known control transfer lands on a block start.
     /// Indirect targets (`jmp.br`) cannot be enumerated statically; an
     /// indirect jump into the middle of a block is legal and simply executes
-    /// on the per-instruction fallback tier until it rejoins a leader.
+    /// on the stepper until it rejoins a leader.
     pub fn build(code: &[Insn], cost: &CostModel) -> BlockProgram {
         let n = code.len();
         let mut leader = vec![false; n + 1];
@@ -159,40 +154,23 @@ impl BlockProgram {
             while end < n && !leader[end] {
                 end += 1;
             }
-            let uop_start = uops.len() as u32;
-            let mut pure = true;
             let mut cycles_by_prov = [0u64; NPROV];
             let mut insns_by_prov = [0u64; NPROV];
             for insn in &code[start..end] {
                 let base = cost.base(&insn.op);
-                // Unconditional transfers always take inside a block, so
+                // Unconditional transfers always take when they execute, so
                 // their effective retire cost is `branch_taken`, not the
-                // fall-through cost the per-instruction table carries.
+                // fall-through cost `CostModel::base` gives them.
                 let effective = match insn.op {
                     Op::Jmp { .. } | Op::Call { .. } | Op::JmpBr { .. } => cost.branch_taken,
                     _ => base,
                 };
                 // The full-pass accounting charges every micro-op its
-                // effective base cost. Ops whose real cost can deviate from
-                // it — memory ops stall, `chk.s` outcome depends on NaT
-                // state, faulting/trapping ops end the block early — and
-                // predicated ops (which may retire at `pred_off` instead)
-                // make the block impure: the executor then records the
-                // deviations as they happen, against this same baseline.
-                let deviates = matches!(
-                    insn.op,
-                    Op::Ld { .. }
-                        | Op::St { .. }
-                        | Op::StSpill { .. }
-                        | Op::LdFill { .. }
-                        | Op::ChkS { .. }
-                        | Op::MovToBr { .. }
-                        | Op::Syscall { .. }
-                        | Op::Halt
-                );
-                if deviates || insn.qp != shift_isa::Pr::P0 {
-                    pure = false;
-                }
+                // effective base cost. Where the real cost deviates — a
+                // memory stall, a taken `chk.s`, a squashed slot — the
+                // block driver records the deviation as it happens, and an
+                // early exit settles the entered prefix, against this same
+                // baseline.
                 cycles_by_prov[insn.prov.index()] += effective;
                 insns_by_prov[insn.prov.index()] += 1;
                 uops.push(MicroOp {
@@ -220,9 +198,7 @@ impl BlockProgram {
             }
             blocks.push(Block {
                 start: start as u32,
-                uop_start,
                 len: (end - start) as u32,
-                pure,
                 acct_start,
                 acct_len,
             });
@@ -239,7 +215,7 @@ impl BlockProgram {
 
     /// The block whose first instruction is `ip`, if any. Mid-block and
     /// out-of-range addresses return `None` (the caller falls back to the
-    /// per-instruction tier, which raises `BadIp` for the latter).
+    /// stepper, which raises `BadIp` for the latter).
     #[inline]
     pub fn block_starting_at(&self, ip: usize) -> Option<u32> {
         let &bid = self.block_of.get(ip)?;
@@ -263,7 +239,7 @@ fn is_terminator(op: &Op) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_isa::{AluOp, Gpr, Pr};
+    use shift_isa::{AluOp, Gpr};
 
     fn decode(code: &[Insn]) -> BlockProgram {
         BlockProgram::build(code, &CostModel::ITANIUM2)
@@ -280,7 +256,8 @@ mod tests {
         let prog = decode(&code);
         let total: u32 = prog.blocks.iter().map(|b| b.len).sum();
         assert_eq!(total as usize, code.len());
-        for (ip, _) in code.iter().enumerate() {
+        for (ip, insn) in code.iter().enumerate() {
+            assert_eq!(prog.uops[ip].op, insn.op, "the arena is index-aligned with the code");
             let bid = prog.block_of[ip] as usize;
             let b = &prog.blocks[bid];
             assert!(
@@ -327,24 +304,11 @@ mod tests {
         let prog = decode(&code);
         assert_eq!(prog.block_count(), 1);
         let b = &prog.blocks[0];
-        assert!(b.pure);
         assert_eq!(b.acct_len, 1, "single-provenance block compresses to one entry");
         let a = &prog.accts[b.acct_start as usize];
         assert_eq!(usize::from(a.prov), Provenance::Original.index());
         assert_eq!(u64::from(a.insns), 3);
         assert_eq!(u64::from(a.cycles), cost.movl + cost.alu + cost.branch_taken);
-    }
-
-    #[test]
-    fn memory_predication_and_chk_make_blocks_impure() {
-        for code in [
-            vec![Insn::new(Op::LdFill { dst: Gpr::R1, addr: Gpr::R2 })],
-            vec![Insn::new(Op::MovI { dst: Gpr::R1, imm: 1 }).under(Pr::P3)],
-            vec![Insn::new(Op::ChkS { src: Gpr::R1, target: 0 })],
-        ] {
-            let prog = decode(&code);
-            assert!(!prog.blocks[0].pure, "block must be impure: {code:?}");
-        }
     }
 
     #[test]

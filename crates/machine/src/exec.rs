@@ -3,7 +3,7 @@
 use shift_isa::{AluOp, CostModel, ExtKind, Insn, MemSize, Op, Provenance};
 use shift_obs::{FuncSpan, Profiler, TaintObserver, TraceKind, TraceRing};
 
-use crate::block::{BlockProgram, NPROV};
+use crate::block::{BlockProgram, MicroOp, NPROV};
 use crate::cache::CacheHierarchy;
 use crate::cpu::{Cpu, RegVal};
 use crate::fault::{Fault, NatFaultKind};
@@ -72,24 +72,20 @@ pub struct Machine {
     pub cache: CacheHierarchy,
     /// Cycle/event accounting.
     pub stats: Stats,
-    /// Instruction latency table. Private because `base_cost` caches its
-    /// per-instruction answers — mutating one without the other would skew
-    /// the cycle model.
+    /// Instruction latency table. Private because the micro-ops in `blocks`
+    /// cache its per-instruction answers — mutating one without the other
+    /// would skew the cycle model.
     cost: CostModel,
     /// Decoded code, shared with the [`crate::MachineSeed`] (and every
     /// sibling instance) that spawned this machine.
     code: std::sync::Arc<[Insn]>,
-    /// `cost.base()` of each instruction in `code`, precomputed so the
-    /// dispatcher replaces a second match on the op with one indexed load.
-    /// Shared like `code`.
-    base_cost: std::sync::Arc<[u64]>,
     /// Code pre-decoded into superblocks (see [`crate::block`]), shared like
     /// `code`. A pure host-speed structure: never part of guest state.
     blocks: std::sync::Arc<BlockProgram>,
-    /// Superblocks entered through the block-dispatch tier.
+    /// Superblocks entered through the block driver.
     block_hits: u64,
-    /// Instructions stepped on the per-instruction fallback tier while block
-    /// dispatch was eligible (mid-block entry, boundary guard, budget tail).
+    /// Instructions stepped after a block side exit while block dispatch
+    /// was eligible (mid-block entry, boundary guard, budget tail).
     block_misses: u64,
     /// Times the superblock tables were invalidated and rebuilt.
     block_flushes: u64,
@@ -103,10 +99,10 @@ pub struct Machine {
     obs: Option<Box<TaintObserver>>,
     profiler: Option<Box<Profiler>>,
     /// Flight recorder (DESIGN.md §14). Diagnostic-only like `obs` and
-    /// `profiler`, but deliberately NOT part of the hot-tier gate: its
-    /// events originate only at syscall boundaries, superblock flushes,
-    /// recovery points, and injection firings — never per instruction — so
-    /// the superblock tier stays armed while recording.
+    /// `profiler`, but deliberately NOT a per-instruction hook: its events
+    /// originate only at syscall boundaries, superblock flushes, recovery
+    /// points, and injection firings — never per instruction — so the block
+    /// driver stays armed while recording.
     flight: Option<Box<TraceRing>>,
 }
 
@@ -120,36 +116,36 @@ struct Watchdog {
 
 /// Outcome of one dispatcher step (or one superblock).
 ///
-/// This is the contract between the dispatch tiers and the [`Machine::run`]
-/// driver loop: both the per-instruction stepper and the superblock executor
-/// report their progress through it.
+/// This is the contract between the two drivers and the [`Machine::run`]
+/// loop: both the per-instruction stepper and the block driver report their
+/// progress through it.
 ///
-/// The `Recheck` variant is the linchpin of the tiered design: a `syscall`
-/// hands the *whole machine* (`&mut Machine`) to the [`Os`] handler, which
-/// may arm the watchdog, schedule injections, enable tracing or
-/// observability, or rewind memory — so every loop invariant the fast tiers
-/// rely on (and the software TLB's internal state) must be re-established
-/// from scratch before the next instruction. Anything that cannot happen
-/// mid-tier is deferred to this boundary.
+/// The `Recheck` variant is the linchpin of the two-driver design: a
+/// `syscall` hands the *whole machine* (`&mut Machine`) to the [`Os`]
+/// handler, which may arm the watchdog, schedule injections, enable tracing
+/// or observability, or rewind memory — so every loop invariant the block
+/// driver relies on (and the software TLB's internal state) must be
+/// re-established from scratch before the next instruction. Anything that
+/// cannot happen mid-block is deferred to this boundary.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StepOut {
     /// Keep going.
     Continue,
-    /// Keep going, but a syscall ran — the fast tiers' invariants (watchdog,
-    /// injections, trace, observability all disabled or boundary-checked)
-    /// must be re-verified before the next dispatch.
+    /// Keep going, but a syscall ran — the block driver's invariants
+    /// (watchdog, injections, trace, observability all disabled or
+    /// boundary-checked) must be re-verified before the next dispatch.
     Recheck,
     /// The run stops.
     Exit(Exit),
 }
 
-/// Host-side counters for the superblock dispatch tier (see
+/// Host-side counters for the block driver (see
 /// [`Machine::superblock_stats`]). Purely diagnostic: these count *host*
 /// dispatch decisions, never modelled events, and are excluded from
 /// [`Machine::state_digest`] and [`Stats`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SuperblockStats {
-    /// Superblocks executed through the block-dispatch tier.
+    /// Superblocks executed through the block driver.
     pub hits: u64,
     /// Instructions stepped on the per-instruction fallback while block
     /// dispatch was eligible (mid-block entry, boundary guard refusal, or
@@ -179,7 +175,6 @@ impl Machine {
         cpu: Cpu,
         mem: Memory,
         code: std::sync::Arc<[Insn]>,
-        base_cost: std::sync::Arc<[u64]>,
         blocks: std::sync::Arc<BlockProgram>,
     ) -> Machine {
         Machine {
@@ -188,7 +183,6 @@ impl Machine {
             cache: CacheHierarchy::itanium2(),
             stats: Stats::new(),
             cost: CostModel::ITANIUM2,
-            base_cost,
             code,
             blocks,
             block_hits: 0,
@@ -233,7 +227,7 @@ impl Machine {
     /// `cap` events, with time-series sampling every `sample_cycles`
     /// modelled cycles (`0` disarms sampling). Diagnostic-only, like the
     /// taint observer — and unlike the per-instruction trace, arming it
-    /// does not demote execution to the cold dispatch tier, because every
+    /// does not demote execution to the stepper, because every
     /// recording site sits on a boundary path (DESIGN.md §14).
     pub fn enable_flight_recorder(&mut self, cap: usize, sample_cycles: u64) {
         let mut ring = TraceRing::with_capacity(cap);
@@ -432,26 +426,24 @@ impl Machine {
 
     /// Runs until the guest stops or `max_insns` instructions retire.
     ///
-    /// Dispatch is tiered (fastest first; see DESIGN.md §13):
+    /// Every opcode has one definition, the private `execute` helper, and
+    /// two drivers run it (see DESIGN.md §13):
     ///
-    /// 1. **Superblock tier** — when per-instruction diagnostics (trace,
-    ///    observer, profiler) are off and `ip` starts a pre-decoded block
-    ///    whose worst-case length fits every armed budget, whole blocks
-    ///    execute back-to-back through the trace-threaded dispatch loop.
-    ///    Watchdog fuel, injection countdowns, and the run budget are
-    ///    checked once per block — the entry guard proves none can expire
-    ///    mid-block, so checking them at boundaries only is exact, not
-    ///    approximate.
-    /// 2. **Per-instruction hot tier** — the const-generic `HOT` stepper
-    ///    with watchdog/injection/trace/observer/profiler tests compiled
-    ///    out; used for mid-block entries and budget tails when nothing is
-    ///    armed.
-    /// 3. **Cold tier** — the fully-checked stepper, used whenever any
-    ///    diagnostic or boundary-checked feature is armed.
+    /// 1. **Block driver** — when no per-instruction hook (trace, taint
+    ///    observer, profiler) is armed and `ip` starts a pre-decoded block
+    ///    whose length fits every armed budget, whole blocks execute
+    ///    back-to-back with deviation accounting. Watchdog fuel, injection
+    ///    countdowns, and the run budget are checked once per block — the
+    ///    entry guard proves none can expire mid-block, so checking them at
+    ///    boundaries only is exact, not approximate.
+    /// 2. **Stepper** — one instruction at a time, charged directly, with
+    ///    every hook live. It runs whenever a hook is armed, and for one
+    ///    instruction after each block side exit (mid-block entry, guard
+    ///    refusal, budget tail).
     ///
-    /// A `syscall` exits the current tier with [`StepOut::Recheck`] and the
-    /// next iteration re-selects the tier from scratch (the `Os` handler may
-    /// have armed anything).
+    /// A `syscall` leaves the block driver with [`StepOut::Recheck`] and the
+    /// next iteration re-selects the driver from scratch (the `Os` handler
+    /// may have armed anything).
     pub fn run<O: Os>(&mut self, os: &mut O, max_insns: u64) -> Exit {
         let budget = self.stats.instructions.saturating_add(max_insns);
         // One handle for the whole run: `self.blocks` can only be swapped by
@@ -462,173 +454,66 @@ impl Machine {
             if self.stats.instructions >= budget {
                 return Exit::InsnLimit;
             }
-            if self.trace.is_none() && self.obs.is_none() && self.profiler.is_none() {
+            let hooked = self.trace.is_some() || self.obs.is_some() || self.profiler.is_some();
+            let out = if hooked {
+                self.step_impl(os)
+            } else {
                 match self.run_blocks(os, &prog, budget) {
-                    // Side exit: mid-block `ip`, a boundary budget too small
-                    // for the next block, or the run budget's tail — step one
-                    // instruction and retry block dispatch at the new `ip`.
+                    // Side exit: step one instruction and retry block
+                    // dispatch at the new `ip`.
                     StepOut::Continue => {
                         self.block_misses += 1;
-                        let out = if self.watchdog.is_none() && self.injections.is_empty() {
-                            self.step_impl::<O, true>(os)
-                        } else {
-                            self.step_impl::<O, false>(os)
-                        };
-                        match out {
-                            StepOut::Continue | StepOut::Recheck => {}
-                            StepOut::Exit(exit) => return exit,
-                        }
+                        self.step_impl(os)
                     }
-                    // A syscall ran; the handler may have armed anything, so
-                    // re-select the tier from scratch.
-                    StepOut::Recheck => {}
-                    StepOut::Exit(exit) => return exit,
+                    out => out,
                 }
-            } else {
-                match self.step_impl::<O, false>(os) {
-                    StepOut::Continue | StepOut::Recheck => {}
-                    StepOut::Exit(exit) => return exit,
-                }
+            };
+            if let StepOut::Exit(exit) = out {
+                return exit;
             }
         }
     }
 
-    /// Executes superblocks back-to-back until a side exit, through the
-    /// trace-threaded dispatch loop.
+    /// The block driver: executes superblocks back-to-back until a side
+    /// exit.
     ///
     /// Architecturally identical to stepping the same instructions one at a
-    /// time through `step_impl::<_, true>`: same state updates in the same
-    /// order, same fault points with `ip` left on the faulting instruction,
-    /// same modelled cycles. The wins are pure host mechanics:
+    /// time: both drivers run the same `execute`, so state updates, fault
+    /// points (with `ip` left on the faulting instruction) and modelled
+    /// cycles agree by construction. The wins are pure host mechanics:
     ///
     /// * no per-instruction fetch bounds check, budget compare, or `ip`
     ///   store — `ip` lives in a local and is written back only on exit;
     /// * retire accounting lands in stack-local accumulators that persist
-    ///   *across* chained blocks and flush only on a side exit. Per-op
-    ///   accounting is gone entirely: every block merges its precomputed
-    ///   full-pass [`crate::block::ProvAcct`] entries at completion, and
-    ///   the execution loop records only *deviations* from that full pass
-    ///   (cache stalls, predicated-off slots, taken `chk.s`). Early exits
-    ///   settle the entered prefix from the micro-ops' static base costs;
+    ///   *across* chained blocks and flush only on a side exit. Every block
+    ///   merges its precomputed full-pass [`crate::block::ProvAcct`] entries
+    ///   at completion, and `execute` reports only *deviations* from that
+    ///   full pass (cache stalls, predicated-off slots, taken `chk.s`).
+    ///   Early exits settle the entered prefix from the micro-ops' static
+    ///   base costs;
     /// * watchdog fuel, injection countdowns, and the run budget are
     ///   checked once per block — the entry guard proves none can expire
     ///   mid-block (see below), so boundary-only checks are exact.
     ///
     /// The entry guard: with the watchdog at `used` of `budget` fuel and
-    /// `pending` locally-retired instructions not yet flushed, the
-    /// per-instruction stepper would trip before instruction `i` of the next
-    /// block iff `used + pending + i >= budget`, so a full block of `len` is
-    /// safe iff `used + pending + len <= budget`; the same argument bounds
-    /// injection countdowns (an event fires when its countdown hits zero
-    /// *before* an instruction) and the run budget.
+    /// `pending` locally-retired instructions not yet flushed, the stepper
+    /// would trip before instruction `i` of the next block iff
+    /// `used + pending + i >= budget`, so a full block of `len` is safe iff
+    /// `used + pending + len <= budget`; the same argument bounds injection
+    /// countdowns (an event fires when its countdown hits zero *before* an
+    /// instruction) and the run budget.
     ///
     /// Returns [`StepOut::Continue`] on a side exit (mid-block `ip`, guard
     /// failure, budget tail — the caller steps one instruction and retries),
     /// [`StepOut::Recheck`] after a syscall, or [`StepOut::Exit`].
     fn run_blocks<O: Os>(&mut self, os: &mut O, prog: &BlockProgram, budget: u64) -> StepOut {
-        let mut cyc = [0u64; NPROV];
-        let mut ins = [0u64; NPROV];
-        // Instructions retired into the local accumulators but not yet
-        // flushed (== the sums of `ins`): completed blocks retire every
-        // entered micro-op exactly once, including predicated-off slots.
+        let mut acct = BlockAcct { cycles: [0; NPROV], insns: [0; NPROV] };
+        // Instructions retired into `acct` but not yet flushed (== the sum
+        // of `acct.insns`): completed blocks retire every entered micro-op
+        // exactly once, including predicated-off slots.
         let mut pending = 0u64;
         let mut ip = self.cpu.ip;
-
-        // Flushes the accumulators into `Stats` and charges boundary fuel:
-        // the watchdog consumes one unit and every injection countdown
-        // decreases by one per retired instruction, exactly as the
-        // per-instruction stepper would have charged them one at a time.
-        // Runs *before* any `Os` handler or caller can observe the machine,
-        // so a syscall sees stats, fuel, and countdowns in the same state
-        // the per-instruction path would show it.
-        macro_rules! flush {
-            () => {{
-                let mut cycles = 0u64;
-                let mut insns = 0u64;
-                for i in 0..NPROV {
-                    self.stats.cycles_by_prov[i] += cyc[i];
-                    self.stats.insns_by_prov[i] += ins[i];
-                    cycles += cyc[i];
-                    insns += ins[i];
-                }
-                self.stats.cycles += cycles;
-                self.stats.instructions += insns;
-                if let Some(w) = &mut self.watchdog {
-                    w.used += insns;
-                }
-                if !self.injections.is_empty() {
-                    for (countdown, _) in &mut self.injections {
-                        debug_assert!(
-                            *countdown >= insns,
-                            "entry guard must prevent mid-block fire"
-                        );
-                        *countdown -= insns;
-                    }
-                }
-            }};
-        }
-        // Merges a block's precomputed full-pass accounting entries into the
-        // local accumulators (one sparse entry per provenance present).
-        // Wrapping: the accumulators may hold transiently "negative"
-        // deviations (see `dev!`) until this merge rebalances them.
-        macro_rules! merge_accts {
-            ($blk:expr) => {{
-                let accts = &prog.accts
-                    [$blk.acct_start as usize..($blk.acct_start + $blk.acct_len) as usize];
-                for a in accts {
-                    let i = usize::from(a.prov);
-                    cyc[i] = cyc[i].wrapping_add(u64::from(a.cycles));
-                    ins[i] += u64::from(a.insns);
-                }
-            }};
-        }
-        // Records a cycle *deviation* from the block's precomputed full-pass
-        // accounting: a cache stall, a predicated-off slot, a taken `chk.s`.
-        // Wrapping because a deviation can be negative (`pred_off - base`);
-        // the block's base entries always merge in before any flush, which
-        // restores an exact non-negative total.
-        macro_rules! dev {
-            ($prov:expr, $delta:expr) => {{
-                let i = $prov.index();
-                cyc[i] = cyc[i].wrapping_add($delta);
-            }};
-        }
-        // Settles accounting for a partially-executed block: micro-ops
-        // `..=$j` all entered, so charge each its static base cost and one
-        // retired instruction. Dynamic deviations (stalls, pred-off slots)
-        // were already recorded by `dev!` as they happened, so base + recorded
-        // deviations reproduces the per-instruction charges exactly.
-        macro_rules! settle {
-            ($uops:expr, $j:expr) => {{
-                for u in &$uops[..=$j] {
-                    let i = u.prov.index();
-                    cyc[i] = cyc[i].wrapping_add(u64::from(u.base));
-                    ins[i] += 1;
-                }
-            }};
-        }
-        // Stops mid-block at instruction `ip`: flush, leave `ip` exactly
-        // where the per-instruction stepper would have left it.
-        macro_rules! exit_at {
-            ($ip:expr, $e:expr) => {{
-                flush!();
-                self.cpu.ip = $ip;
-                return StepOut::Exit($e);
-            }};
-        }
-        macro_rules! fault_at {
-            ($uops:expr, $j:expr, $ip:expr, $f:expr) => {{
-                settle!($uops, $j);
-                exit_at!($ip, Exit::Fault($f))
-            }};
-        }
-
-        loop {
-            let Some(bid) = prog.block_starting_at(ip) else {
-                flush!();
-                self.cpu.ip = ip;
-                return StepOut::Continue;
-            };
+        while let Some(bid) = prog.block_starting_at(ip) {
             let blk = &prog.blocks[bid as usize];
             let len = u64::from(blk.len);
             let horizon = pending + len;
@@ -636,327 +521,86 @@ impl Machine {
                 || self.watchdog.as_ref().is_some_and(|w| w.used + horizon > w.budget)
                 || !self.injections.iter().all(|(countdown, _)| *countdown >= horizon);
             if guarded {
-                flush!();
-                self.cpu.ip = ip;
-                return StepOut::Continue;
+                break;
             }
             self.block_hits += 1;
+            let uops = &prog.uops[ip..ip + blk.len as usize];
             let base_ip = ip;
-            let first = blk.uop_start as usize;
-            let uops = &prog.uops[first..first + blk.len as usize];
-            let mut next_ip = base_ip + uops.len();
-
-            if blk.pure {
-                // Static-accounting fast path: no predication, no faults, no
-                // dynamic cycle costs — semantics only, then a sparse merge
-                // of the block's precomputed per-provenance totals.
-                for u in uops {
-                    match u.op {
-                        Op::Alu { op, dst, src1, src2 } => {
-                            let a = self.cpu.gpr(src1);
-                            let b = self.cpu.gpr(src2);
-                            let v = alu(op, a.value, b.value);
-                            let self_cancel = src1 == src2 && matches!(op, AluOp::Xor | AluOp::Sub);
-                            let nat = if self_cancel { false } else { a.nat || b.nat };
-                            self.cpu.set_gpr(dst, RegVal { value: v, nat });
-                        }
-                        Op::AluI { op, dst, src1, imm } => {
-                            let a = self.cpu.gpr(src1);
-                            let v = alu(op, a.value, imm as u64);
-                            self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                        }
-                        Op::MovI { dst, imm } => self.cpu.set_gpr_val(dst, imm as u64),
-                        Op::Mov { dst, src } => {
-                            let v = self.cpu.gpr(src);
-                            self.cpu.set_gpr(dst, v);
-                        }
-                        Op::Ext { kind, size, dst, src } => {
-                            let a = self.cpu.gpr(src);
-                            let v = extend(kind, size, a.value);
-                            self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                        }
-                        Op::Cmp { rel, pt, pf, src1, src2, nat_aware } => {
-                            let a = self.cpu.gpr(src1);
-                            let b = self.cpu.gpr(src2);
-                            self.do_cmp(rel, pt, pf, a, b, nat_aware);
-                        }
-                        Op::CmpI { rel, pt, pf, src1, imm, nat_aware } => {
-                            let a = self.cpu.gpr(src1);
-                            self.do_cmp(rel, pt, pf, a, RegVal::of(imm as u64), nat_aware);
-                        }
-                        Op::Tnat { pt, pf, src } => {
-                            let nat = self.cpu.gpr(src).nat;
-                            self.cpu.set_pr(pt, nat);
-                            self.cpu.set_pr(pf, !nat);
-                        }
-                        Op::Tset { dst } => {
-                            let v = self.cpu.gpr(dst);
-                            self.cpu.set_gpr(dst, RegVal { value: v.value, nat: true });
-                        }
-                        Op::Tclr { dst } => {
-                            let v = self.cpu.gpr(dst);
-                            self.cpu.set_gpr(dst, RegVal::of(v.value));
-                        }
-                        Op::MovFromBr { dst, br } => {
-                            let v = self.cpu.br(br);
-                            self.cpu.set_gpr_val(dst, v);
-                        }
-                        Op::Nop => {}
-                        // Terminators (always the last micro-op).
-                        Op::Jmp { target } => next_ip = target,
-                        Op::Call { link, target } => {
-                            self.cpu.set_br(link, (base_ip + uops.len()) as u64);
-                            next_ip = target;
-                        }
-                        Op::JmpBr { br } => next_ip = self.cpu.br(br) as usize,
-                        // Excluded from pure blocks by construction.
-                        Op::Ld { .. }
-                        | Op::St { .. }
-                        | Op::StSpill { .. }
-                        | Op::LdFill { .. }
-                        | Op::ChkS { .. }
-                        | Op::MovToBr { .. }
-                        | Op::Syscall { .. }
-                        | Op::Halt => unreachable!("impure op in pure superblock"),
-                    }
-                }
-                merge_accts!(blk);
-                pending += len;
-                ip = next_ip;
-                continue;
-            }
-
+            ip += uops.len();
             for (j, u) in uops.iter().enumerate() {
-                if !self.cpu.pr(u.qp) {
-                    dev!(u.prov, self.cost.pred_off.wrapping_sub(u64::from(u.base)));
-                    continue;
-                }
-                let ip = base_ip + j;
-                match u.op {
-                    Op::Alu { op, dst, src1, src2 } => {
-                        let a = self.cpu.gpr(src1);
-                        let b = self.cpu.gpr(src2);
-                        let v = alu(op, a.value, b.value);
-                        let self_cancel = src1 == src2 && matches!(op, AluOp::Xor | AluOp::Sub);
-                        let nat = if self_cancel { false } else { a.nat || b.nat };
-                        self.cpu.set_gpr(dst, RegVal { value: v, nat });
-                    }
-                    Op::AluI { op, dst, src1, imm } => {
-                        let a = self.cpu.gpr(src1);
-                        let v = alu(op, a.value, imm as u64);
-                        self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                    }
-                    Op::MovI { dst, imm } => self.cpu.set_gpr_val(dst, imm as u64),
-                    Op::Mov { dst, src } => {
-                        let v = self.cpu.gpr(src);
-                        self.cpu.set_gpr(dst, v);
-                    }
-                    Op::Ext { kind, size, dst, src } => {
-                        let a = self.cpu.gpr(src);
-                        let v = extend(kind, size, a.value);
-                        self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                    }
-                    Op::Cmp { rel, pt, pf, src1, src2, nat_aware } => {
-                        let a = self.cpu.gpr(src1);
-                        let b = self.cpu.gpr(src2);
-                        self.do_cmp(rel, pt, pf, a, b, nat_aware);
-                    }
-                    Op::CmpI { rel, pt, pf, src1, imm, nat_aware } => {
-                        let a = self.cpu.gpr(src1);
-                        self.do_cmp(rel, pt, pf, a, RegVal::of(imm as u64), nat_aware);
-                    }
-                    Op::Ld { size, ext, dst, addr, spec } => {
-                        let a = self.cpu.gpr(addr);
-                        if a.nat {
-                            if spec {
-                                self.stats.deferred_loads += 1;
-                                self.cpu.set_gpr(dst, RegVal::NAT);
-                            } else {
-                                fault_at!(
-                                    uops,
-                                    j,
-                                    ip,
-                                    Fault::NatConsumption { kind: NatFaultKind::LoadAddress, ip }
-                                );
-                            }
-                        } else {
-                            match self.mem.read_int(a.value, size.bytes()) {
-                                Ok(raw) => {
-                                    dev!(u.prov, self.cache.access(a.value, size.bytes()));
-                                    let v = extend(ext, size, raw);
-                                    self.cpu.set_gpr(dst, RegVal::of(v));
-                                    if u.prov == Provenance::Original {
-                                        self.stats.loads += 1;
-                                    }
-                                }
-                                Err(_) if spec => {
-                                    dev!(u.prov, self.cache.mem_latency);
-                                    self.stats.deferred_loads += 1;
-                                    self.cpu.set_gpr(dst, RegVal::NAT);
-                                }
-                                Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                            }
+                match self.execute(&mut acct, u, base_ip + j) {
+                    Flow::Next => {}
+                    // Only a block's last micro-op transfers control.
+                    Flow::Jump(target) => ip = target,
+                    flow => {
+                        // Settle the entered prefix `..=j` from its static
+                        // base costs, one retired instruction each: the
+                        // deviations `execute` reported on the way, added
+                        // to these, reproduce the stepper's charges.
+                        for u in &uops[..=j] {
+                            acct.charge(u.prov, u64::from(u.base));
+                            acct.insns[u.prov.index()] += 1;
                         }
-                    }
-                    Op::St { size, src, addr } => {
-                        let a = self.cpu.gpr(addr);
-                        let v = self.cpu.gpr(src);
-                        if a.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::StoreAddress, ip }
-                            );
-                        }
-                        if v.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::StoreValue, ip }
-                            );
-                        }
-                        match self.mem.write_int(a.value, size.bytes(), v.value) {
-                            Ok(()) => {
-                                dev!(u.prov, self.cache.access(a.value, size.bytes()));
-                                if u.prov == Provenance::Original {
-                                    self.stats.stores += 1;
-                                }
-                            }
-                            Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                        }
-                    }
-                    Op::StSpill { src, addr } => {
-                        let a = self.cpu.gpr(addr);
-                        let v = self.cpu.gpr(src);
-                        if a.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::StoreAddress, ip }
-                            );
-                        }
-                        match self.mem.write_int(a.value, 8, v.value) {
-                            Ok(()) => {
-                                dev!(u.prov, self.cache.access(a.value, 8));
-                                self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
-                                self.mem.set_spill_nat(a.value, v.nat);
-                                if u.prov == Provenance::Original {
-                                    self.stats.stores += 1;
-                                }
-                            }
-                            Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                        }
-                    }
-                    Op::LdFill { dst, addr } => {
-                        let a = self.cpu.gpr(addr);
-                        if a.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::LoadAddress, ip }
-                            );
-                        }
-                        match self.mem.read_int(a.value, 8) {
-                            Ok(raw) => {
-                                dev!(u.prov, self.cache.access(a.value, 8));
-                                let nat = self.mem.spill_nat(a.value);
-                                self.cpu.set_gpr(dst, RegVal { value: raw, nat });
-                                if u.prov == Provenance::Original {
-                                    self.stats.loads += 1;
-                                }
-                            }
-                            Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                        }
-                    }
-                    Op::MovToBr { br, src } => {
-                        let v = self.cpu.gpr(src);
-                        if v.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::BranchMove, ip }
-                            );
-                        }
-                        self.cpu.set_br(br, v.value);
-                    }
-                    Op::Tnat { pt, pf, src } => {
-                        let nat = self.cpu.gpr(src).nat;
-                        self.cpu.set_pr(pt, nat);
-                        self.cpu.set_pr(pf, !nat);
-                    }
-                    Op::Tset { dst } => {
-                        let v = self.cpu.gpr(dst);
-                        self.cpu.set_gpr(dst, RegVal { value: v.value, nat: true });
-                    }
-                    Op::Tclr { dst } => {
-                        let v = self.cpu.gpr(dst);
-                        self.cpu.set_gpr(dst, RegVal::of(v.value));
-                    }
-                    Op::MovFromBr { dst, br } => {
-                        let v = self.cpu.br(br);
-                        self.cpu.set_gpr_val(dst, v);
-                    }
-                    Op::Nop => {}
-                    // Terminators (always the last micro-op of a block).
-                    // Unconditional transfers carry `branch_taken` in
-                    // `u.base` already (folded at decode time).
-                    Op::ChkS { src, target } => {
-                        if self.cpu.gpr(src).nat {
-                            dev!(u.prov, self.cost.chk_set.wrapping_sub(u64::from(u.base)));
-                            self.stats.chk_taken += 1;
-                            next_ip = target;
-                        }
-                    }
-                    Op::Jmp { target } => next_ip = target,
-                    Op::Call { link, target } => {
-                        self.cpu.set_br(link, (ip + 1) as u64);
-                        next_ip = target;
-                    }
-                    Op::JmpBr { br } => next_ip = self.cpu.br(br) as usize,
-                    Op::Syscall { num } => {
-                        self.stats.syscalls += 1;
-                        settle!(uops, j);
-                        // Flush *before* the handler runs: the `Os` gets
-                        // `&mut Machine` and must see stats, fuel, and
-                        // countdowns exactly as the per-instruction path
-                        // would show them.
-                        flush!();
-                        self.cpu.ip = ip + 1;
-                        return match os.syscall(self, num) {
-                            SysResult::Continue => StepOut::Recheck,
-                            SysResult::Stop(exit) => StepOut::Exit(exit),
-                        };
-                    }
-                    Op::Halt => {
-                        settle!(uops, j);
-                        flush!();
-                        self.cpu.ip = ip;
-                        return StepOut::Exit(Exit::Halted(
-                            self.cpu.gpr(shift_isa::Gpr::RET).value as i64,
-                        ));
+                        self.flush_block_acct(&acct);
+                        return self.advance(os, flow, base_ip + j);
                     }
                 }
             }
-
-            merge_accts!(blk);
+            // Merge the block's precomputed full-pass accounting, one sparse
+            // entry per provenance present. Wrapping: the accumulators may
+            // hold transiently "negative" deviations until this merge
+            // rebalances them.
+            let accts =
+                &prog.accts[blk.acct_start as usize..(blk.acct_start + blk.acct_len) as usize];
+            for a in accts {
+                let i = usize::from(a.prov);
+                acct.cycles[i] = acct.cycles[i].wrapping_add(u64::from(a.cycles));
+                acct.insns[i] += u64::from(a.insns);
+            }
             pending += len;
-            ip = next_ip;
+        }
+        // Side exit: mid-block `ip`, guard refusal, or budget tail.
+        self.flush_block_acct(&acct);
+        self.cpu.ip = ip;
+        StepOut::Continue
+    }
+
+    /// Flushes the block driver's accumulators into `Stats` and charges
+    /// boundary fuel: the watchdog consumes one unit and every injection
+    /// countdown decreases by one per retired instruction, exactly as the
+    /// stepper would have charged them one at a time. Runs *before* any
+    /// `Os` handler or caller can observe the machine, so a syscall sees
+    /// stats, fuel, and countdowns in the same state the stepper would show
+    /// it.
+    fn flush_block_acct(&mut self, acct: &BlockAcct) {
+        let mut cycles = 0u64;
+        let mut insns = 0u64;
+        for i in 0..NPROV {
+            self.stats.cycles_by_prov[i] += acct.cycles[i];
+            self.stats.insns_by_prov[i] += acct.insns[i];
+            cycles += acct.cycles[i];
+            insns += acct.insns[i];
+        }
+        self.stats.cycles += cycles;
+        self.stats.instructions += insns;
+        if let Some(w) = &mut self.watchdog {
+            w.used += insns;
+        }
+        for (countdown, _) in &mut self.injections {
+            debug_assert!(*countdown >= insns, "entry guard must prevent mid-block fire");
+            *countdown -= insns;
         }
     }
 
-    /// Runs like [`Machine::run`] but with the superblock tier disabled:
-    /// every instruction goes through the per-instruction stepper.
+    /// Runs like [`Machine::run`] but with the block driver disabled: every
+    /// instruction goes through the stepper.
     ///
     /// Exists solely as the control arm for dispatch benchmarks (the host is
     /// too noisy for cross-process comparisons, so the microbench runs both
-    /// tiers in-process and interleaved). Architecturally identical to
-    /// `run` — same exits, same stats, same modelled cycles — just slower
-    /// on the host. Not part of the supported API.
+    /// drivers in-process and interleaved) and for the differential tests.
+    /// Architecturally identical to `run` — same exits, same stats, same
+    /// modelled cycles — just slower on the host. Not part of the supported
+    /// API.
     #[doc(hidden)]
     pub fn run_per_insn<O: Os>(&mut self, os: &mut O, max_insns: u64) -> Exit {
         let budget = self.stats.instructions.saturating_add(max_insns);
@@ -964,16 +608,8 @@ impl Machine {
             if self.stats.instructions >= budget {
                 return Exit::InsnLimit;
             }
-            let hot = self.trace.is_none()
-                && self.obs.is_none()
-                && self.profiler.is_none()
-                && self.watchdog.is_none()
-                && self.injections.is_empty();
-            let out =
-                if hot { self.step_impl::<O, true>(os) } else { self.step_impl::<O, false>(os) };
-            match out {
-                StepOut::Continue | StepOut::Recheck => {}
-                StepOut::Exit(exit) => return exit,
+            if let StepOut::Exit(exit) = self.step_impl(os) {
+                return exit;
             }
         }
     }
@@ -1024,115 +660,125 @@ impl Machine {
     /// any exit (the runtime restores a snapshot first when the exit left
     /// `ip` at a faulting instruction).
     pub fn step<O: Os>(&mut self, os: &mut O) -> Option<Exit> {
-        match self.step_impl::<O, false>(os) {
+        match self.step_impl(os) {
             StepOut::Exit(exit) => Some(exit),
             StepOut::Continue | StepOut::Recheck => None,
         }
     }
 
-    /// The taint observer, only on the checked (non-hot) path.
-    ///
-    /// `HOT` is only ever true when [`Machine::run`] has verified the
-    /// observer is disabled, so the hot monomorphization folds every
-    /// observer hook to nothing at compile time.
-    #[inline(always)]
-    fn obs_if<const HOT: bool>(&mut self) -> Option<&mut TaintObserver> {
-        if HOT {
-            None
-        } else {
-            self.obs.as_deref_mut()
-        }
-    }
-
-    /// The profiler, only on the checked (non-hot) path — same contract as
-    /// [`Machine::obs_if`].
-    #[inline(always)]
-    fn profiler_if<const HOT: bool>(&mut self) -> Option<&mut Profiler> {
-        if HOT {
-            None
-        } else {
-            self.profiler.as_deref_mut()
-        }
-    }
-
-    /// Retires one instruction without the profiler test on the hot path
-    /// (`run` guarantees the profiler is disabled there).
-    #[inline(always)]
-    fn retire_fast<const HOT: bool>(&mut self, ip: usize, prov: Provenance, cycles: u64) {
-        self.stats.retire(prov, cycles);
-        if !HOT {
-            if let Some(p) = &mut self.profiler {
-                p.record(ip, prov, cycles);
+    /// The stepper: one instruction with every boundary check and hook
+    /// live, charged directly into `Stats`.
+    fn step_impl<O: Os>(&mut self, os: &mut O) -> StepOut {
+        if let Some(w) = &mut self.watchdog {
+            if w.used >= w.budget {
+                return StepOut::Exit(Exit::FuelExhausted);
             }
+            w.used += 1;
         }
-    }
-
-    /// One instruction of the dispatcher, monomorphized twice: `HOT = true`
-    /// compiles out the watchdog, injection, trace, observer, and profiler
-    /// tests (the run loop guarantees they are disabled), `HOT = false` is
-    /// the general path behind [`Machine::step`]. Behaviour is identical —
-    /// `HOT` removes tests that would all be false, never changes one.
-    #[inline(always)]
-    fn step_impl<O: Os, const HOT: bool>(&mut self, os: &mut O) -> StepOut {
-        if !HOT {
-            if let Some(w) = &mut self.watchdog {
-                if w.used >= w.budget {
-                    return StepOut::Exit(Exit::FuelExhausted);
-                }
-                w.used += 1;
-            }
-            if !self.injections.is_empty() {
-                if let Some(exit) = self.apply_due_injections() {
-                    return StepOut::Exit(exit);
-                }
+        if !self.injections.is_empty() {
+            if let Some(exit) = self.apply_due_injections() {
+                return StepOut::Exit(exit);
             }
         }
         let ip = self.cpu.ip;
-        let Some(&insn) = self.code.get(ip) else {
+        // The micro-op arena is index-aligned with the code, and each
+        // micro-op carries the instruction's effective base cost.
+        let Some(&u) = self.blocks.uops.get(ip) else {
             return StepOut::Exit(Exit::Fault(Fault::BadIp { ip }));
         };
-        if !HOT {
-            if let Some(trace) = &mut self.trace {
-                trace.push_back(ip);
-                if trace.len() > self.trace_cap {
-                    trace.pop_front();
-                }
+        if let Some(trace) = &mut self.trace {
+            trace.push_back(ip);
+            if trace.len() > self.trace_cap {
+                trace.pop_front();
             }
         }
+        let mut extra = StepCycles(0);
+        let flow = self.execute(&mut extra, &u, ip);
+        let cycles = u64::from(u.base).wrapping_add(extra.0);
+        self.stats.retire(u.prov, cycles);
+        if let Some(p) = &mut self.profiler {
+            p.record(ip, u.prov, cycles);
+        }
+        self.advance(os, flow, ip)
+    }
 
+    /// Moves past the instruction at `ip` as `flow` directs, running the
+    /// `Os` handler for a `syscall`. Both drivers call this once the
+    /// instruction's accounting has landed in `Stats`, so the handler sees
+    /// the machine exactly as the stepper leaves it.
+    fn advance<O: Os>(&mut self, os: &mut O, flow: Flow, ip: usize) -> StepOut {
+        self.cpu.ip = match flow {
+            Flow::Next => ip + 1,
+            Flow::Jump(target) => target,
+            // A fault or `halt` leaves `ip` on its instruction.
+            Flow::Fault(f) => {
+                self.cpu.ip = ip;
+                return StepOut::Exit(Exit::Fault(f));
+            }
+            Flow::Halt => {
+                self.cpu.ip = ip;
+                return StepOut::Exit(Exit::Halted(self.cpu.gpr(shift_isa::Gpr::RET).value as i64));
+            }
+            Flow::Syscall(num) => {
+                self.cpu.ip = ip + 1;
+                return match os.syscall(self, num) {
+                    SysResult::Continue => StepOut::Recheck,
+                    SysResult::Stop(exit) => StepOut::Exit(exit),
+                };
+            }
+        };
+        StepOut::Continue
+    }
+
+    /// The semantics of one instruction: the only definition of each
+    /// opcode, shared by both drivers.
+    ///
+    /// Reads and writes registers, memory and predicates, sets NaT bits,
+    /// and bumps the `loads`/`stores`/`deferred_loads`/`chk_taken`/
+    /// `syscalls` counters. Cycles beyond the micro-op's base cost (a cache
+    /// stall, a deferred load's translation walk, a taken `chk.s`, a
+    /// squashed slot) go to `acct`, as do the taint-observer and profiler
+    /// hooks, which only the stepper's sink arms. Retiring the instruction
+    /// and moving `ip` are the driver's job, steered by the returned
+    /// [`Flow`].
+    #[inline(always)]
+    fn execute<A: Acct>(&mut self, acct: &mut A, u: &MicroOp, ip: usize) -> Flow {
         // Predicated-off instructions are squashed; on the 6-wide machine
         // their slot is effectively free (see CostModel::pred_off).
-        if !self.cpu.pr(insn.qp) {
-            self.retire_fast::<HOT>(ip, insn.prov, self.cost.pred_off);
-            self.cpu.ip = ip + 1;
-            return StepOut::Continue;
+        if !self.cpu.pr(u.qp) {
+            acct.charge(u.prov, self.cost.pred_off.wrapping_sub(u64::from(u.base)));
+            return Flow::Next;
         }
-
-        // Same index as the fetch above, so the bound holds; equals
-        // `self.cost.base(&insn.op)` by construction.
-        let base = self.base_cost[ip];
-        let mut cycles = base;
-        let mut next_ip = ip + 1;
-
-        macro_rules! fault {
-            ($f:expr) => {{
-                self.retire_fast::<HOT>(ip, insn.prov, cycles);
-                return StepOut::Exit(Exit::Fault($f));
-            }};
-        }
+        // Only data accesses count as loads and stores and feed the taint
+        // trace: tag-bitmap accesses and relax reloads are instrumentation
+        // plumbing.
+        let original = u.prov == Provenance::Original;
 
         // A NaT-consumption fault *is* the hardware detection; capture the
         // provenance chain for the report before the fault fires.
         macro_rules! nat_fault {
             ($reg:expr, $kind:expr, $desc:expr) => {{
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_nat_fault($reg, $desc, ip);
                 }
-                fault!(Fault::NatConsumption { kind: $kind, ip });
+                return Flow::Fault(Fault::NatConsumption { kind: $kind, ip });
+            }};
+        }
+        // A speculative load that cannot complete sets the target's NaT
+        // instead of faulting (deferred-exception semantics, §2.2).
+        macro_rules! defer {
+            ($dst:expr) => {{
+                self.stats.deferred_loads += 1;
+                self.cpu.set_gpr($dst, RegVal::NAT);
+                if original {
+                    if let Some(o) = A::observer(self) {
+                        o.on_load_deferred($dst);
+                    }
+                }
             }};
         }
 
-        match insn.op {
+        match u.op {
             Op::Alu { op, dst, src1, src2 } => {
                 let a = self.cpu.gpr(src1);
                 let b = self.cpu.gpr(src2);
@@ -1143,7 +789,7 @@ impl Machine {
                 let self_cancel = src1 == src2 && matches!(op, AluOp::Xor | AluOp::Sub);
                 let nat = if self_cancel { false } else { a.nat || b.nat };
                 self.cpu.set_gpr(dst, RegVal { value: v, nat });
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_alu2(dst, nat, (src1, a.nat), (src2, b.nat));
                 }
             }
@@ -1151,20 +797,20 @@ impl Machine {
                 let a = self.cpu.gpr(src1);
                 let v = alu(op, a.value, imm as u64);
                 self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_alu1(dst, a.nat, src1);
                 }
             }
             Op::MovI { dst, imm } => {
                 self.cpu.set_gpr_val(dst, imm as u64);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_movi(dst);
                 }
             }
             Op::Mov { dst, src } => {
                 let v = self.cpu.gpr(src);
                 self.cpu.set_gpr(dst, v);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_mov(dst, src);
                 }
             }
@@ -1172,7 +818,7 @@ impl Machine {
                 let a = self.cpu.gpr(src);
                 let v = extend(kind, size, a.value);
                 self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_alu1(dst, a.nat, src);
                 }
             }
@@ -1180,47 +826,34 @@ impl Machine {
                 let a = self.cpu.gpr(src1);
                 let b = self.cpu.gpr(src2);
                 self.do_cmp(rel, pt, pf, a, b, nat_aware);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_cmp();
                 }
             }
             Op::CmpI { rel, pt, pf, src1, imm, nat_aware } => {
                 let a = self.cpu.gpr(src1);
                 self.do_cmp(rel, pt, pf, a, RegVal::of(imm as u64), nat_aware);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_cmp();
                 }
             }
             Op::Ld { size, ext, dst, addr, spec } => {
                 let a = self.cpu.gpr(addr);
                 if a.nat {
-                    if spec {
-                        // NaT address: deferral propagates to the target
-                        // directly (no translation attempted).
-                        self.stats.deferred_loads += 1;
-                        self.cpu.set_gpr(dst, RegVal::NAT);
-                        if let Some(o) = self.obs_if::<HOT>() {
-                            if insn.prov == Provenance::Original {
-                                o.on_load_deferred(dst);
-                            }
-                        }
-                    } else {
+                    if !spec {
                         nat_fault!(addr, NatFaultKind::LoadAddress, "load address");
                     }
+                    // NaT address: deferral propagates to the target
+                    // directly (no translation attempted).
+                    defer!(dst);
                 } else {
                     match self.mem.read_int(a.value, size.bytes()) {
                         Ok(raw) => {
-                            cycles += self.cache.access(a.value, size.bytes());
-                            let v = extend(ext, size, raw);
-                            self.cpu.set_gpr(dst, RegVal::of(v));
-                            if insn.prov == Provenance::Original {
+                            acct.charge(u.prov, self.cache.access(a.value, size.bytes()));
+                            self.cpu.set_gpr(dst, RegVal::of(extend(ext, size, raw)));
+                            if original {
                                 self.stats.loads += 1;
-                            }
-                            if let Some(o) = self.obs_if::<HOT>() {
-                                // Only data accesses feed the taint trace:
-                                // tag-bitmap reads and relax reloads are
-                                // instrumentation plumbing.
-                                if insn.prov == Provenance::Original {
+                                if let Some(o) = A::observer(self) {
                                     o.on_load(dst, a.value, size.bytes(), ip);
                                 }
                             }
@@ -1232,16 +865,10 @@ impl Machine {
                             // why SHIFT generates its NaT-source register
                             // once and keeps it (§4.4: per-function
                             // generation costs 3×).
-                            cycles += self.cache.mem_latency;
-                            self.stats.deferred_loads += 1;
-                            self.cpu.set_gpr(dst, RegVal::NAT);
-                            if let Some(o) = self.obs_if::<HOT>() {
-                                if insn.prov == Provenance::Original {
-                                    o.on_load_deferred(dst);
-                                }
-                            }
+                            acct.charge(u.prov, self.cache.mem_latency);
+                            defer!(dst);
                         }
-                        Err(e) => fault!(mem_fault(e, ip)),
+                        Err(e) => return Flow::Fault(mem_fault(e, ip)),
                     }
                 }
             }
@@ -1254,21 +881,17 @@ impl Machine {
                 if v.nat {
                     nat_fault!(src, NatFaultKind::StoreValue, "store value");
                 }
-                match self.mem.write_int(a.value, size.bytes(), v.value) {
-                    Ok(()) => {
-                        cycles += self.cache.access(a.value, size.bytes());
-                        if insn.prov == Provenance::Original {
-                            self.stats.stores += 1;
-                        }
-                        if let Some(o) = self.obs_if::<HOT>() {
-                            // Tag-bitmap stores must not consume the Tnat
-                            // staged for the data store that follows them.
-                            if insn.prov == Provenance::Original {
-                                o.on_store(a.value, size.bytes(), ip);
-                            }
-                        }
+                if let Err(e) = self.mem.write_int(a.value, size.bytes(), v.value) {
+                    return Flow::Fault(mem_fault(e, ip));
+                }
+                acct.charge(u.prov, self.cache.access(a.value, size.bytes()));
+                if original {
+                    self.stats.stores += 1;
+                    // Tag-bitmap stores must not consume the Tnat staged for
+                    // the data store that follows them.
+                    if let Some(o) = A::observer(self) {
+                        o.on_store(a.value, size.bytes(), ip);
                     }
-                    Err(e) => fault!(mem_fault(e, ip)),
                 }
             }
             Op::StSpill { src, addr } => {
@@ -1277,23 +900,19 @@ impl Machine {
                 if a.nat {
                     nat_fault!(addr, NatFaultKind::StoreAddress, "spill address");
                 }
-                match self.mem.write_int(a.value, 8, v.value) {
-                    Ok(()) => {
-                        cycles += self.cache.access(a.value, 8);
-                        // Bank the NaT bit (UNAT slot + compiler-managed
-                        // UNAT save/restore, modelled as a per-slot bit).
-                        self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
-                        self.mem.set_spill_nat(a.value, v.nat);
-                        if insn.prov == Provenance::Original {
-                            self.stats.stores += 1;
-                        }
-                        if let Some(o) = self.obs_if::<HOT>() {
-                            if insn.prov == Provenance::Original {
-                                o.on_spill(src, a.value, v.nat, ip);
-                            }
-                        }
+                if let Err(e) = self.mem.write_int(a.value, 8, v.value) {
+                    return Flow::Fault(mem_fault(e, ip));
+                }
+                acct.charge(u.prov, self.cache.access(a.value, 8));
+                // Bank the NaT bit (UNAT slot + compiler-managed UNAT
+                // save/restore, modelled as a per-slot bit).
+                self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
+                self.mem.set_spill_nat(a.value, v.nat);
+                if original {
+                    self.stats.stores += 1;
+                    if let Some(o) = A::observer(self) {
+                        o.on_spill(src, a.value, v.nat, ip);
                     }
-                    Err(e) => fault!(mem_fault(e, ip)),
                 }
             }
             Op::LdFill { dst, addr } => {
@@ -1301,51 +920,46 @@ impl Machine {
                 if a.nat {
                     nat_fault!(addr, NatFaultKind::LoadAddress, "fill address");
                 }
-                match self.mem.read_int(a.value, 8) {
-                    Ok(raw) => {
-                        cycles += self.cache.access(a.value, 8);
-                        let nat = self.mem.spill_nat(a.value);
-                        self.cpu.set_gpr(dst, RegVal { value: raw, nat });
-                        if insn.prov == Provenance::Original {
-                            self.stats.loads += 1;
-                        }
-                        if let Some(o) = self.obs_if::<HOT>() {
-                            if insn.prov == Provenance::Original {
-                                o.on_load(dst, a.value, 8, ip);
-                            }
-                        }
+                let raw = match self.mem.read_int(a.value, 8) {
+                    Ok(raw) => raw,
+                    Err(e) => return Flow::Fault(mem_fault(e, ip)),
+                };
+                acct.charge(u.prov, self.cache.access(a.value, 8));
+                let nat = self.mem.spill_nat(a.value);
+                self.cpu.set_gpr(dst, RegVal { value: raw, nat });
+                if original {
+                    self.stats.loads += 1;
+                    if let Some(o) = A::observer(self) {
+                        o.on_load(dst, a.value, 8, ip);
                     }
-                    Err(e) => fault!(mem_fault(e, ip)),
                 }
             }
             Op::ChkS { src, target } => {
                 if self.cpu.gpr(src).nat {
-                    cycles = self.cost.chk_set;
+                    acct.charge(u.prov, self.cost.chk_set.wrapping_sub(u64::from(u.base)));
                     self.stats.chk_taken += 1;
-                    next_ip = target;
-                    if let Some(o) = self.obs_if::<HOT>() {
+                    if let Some(o) = A::observer(self) {
                         o.on_chk_taken(src);
                     }
+                    return Flow::Jump(target);
                 }
             }
-            Op::Jmp { target } => {
-                cycles = self.cost.branch_taken;
-                next_ip = target;
-            }
+            // Unconditional transfers carry `branch_taken` in `u.base`
+            // already (folded at decode time).
+            Op::Jmp { target } => return Flow::Jump(target),
             Op::Call { link, target } => {
-                cycles = self.cost.branch_taken;
                 self.cpu.set_br(link, (ip + 1) as u64);
-                next_ip = target;
-                if let Some(p) = self.profiler_if::<HOT>() {
+                if let Some(p) = A::profiler(self) {
                     p.on_call(target, ip + 1);
                 }
+                return Flow::Jump(target);
             }
             Op::JmpBr { br } => {
-                cycles = self.cost.branch_taken;
-                next_ip = self.cpu.br(br) as usize;
-                if let Some(p) = self.profiler_if::<HOT>() {
-                    p.on_branch(next_ip);
+                let target = self.cpu.br(br) as usize;
+                if let Some(p) = A::profiler(self) {
+                    p.on_branch(target);
                 }
+                return Flow::Jump(target);
             }
             Op::MovToBr { br, src } => {
                 let v = self.cpu.gpr(src);
@@ -1362,7 +976,7 @@ impl Machine {
                 let nat = self.cpu.gpr(src).nat;
                 self.cpu.set_pr(pt, nat);
                 self.cpu.set_pr(pf, !nat);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = A::observer(self) {
                     o.on_tnat(src, nat);
                 }
             }
@@ -1373,29 +987,18 @@ impl Machine {
             Op::Tclr { dst } => {
                 let v = self.cpu.gpr(dst);
                 self.cpu.set_gpr(dst, RegVal::of(v.value));
-                if let Some(o) = self.obs_if::<HOT>() {
-                    o.on_tclr(dst, insn.prov == Provenance::Relax);
+                if let Some(o) = A::observer(self) {
+                    o.on_tclr(dst, u.prov == Provenance::Relax);
                 }
             }
             Op::Syscall { num } => {
                 self.stats.syscalls += 1;
-                self.retire_fast::<HOT>(ip, insn.prov, cycles);
-                self.cpu.ip = next_ip;
-                return match os.syscall(self, num) {
-                    SysResult::Continue => StepOut::Recheck,
-                    SysResult::Stop(exit) => StepOut::Exit(exit),
-                };
+                return Flow::Syscall(num);
             }
             Op::Nop => {}
-            Op::Halt => {
-                self.retire_fast::<HOT>(ip, insn.prov, cycles);
-                return StepOut::Exit(Exit::Halted(self.cpu.gpr(shift_isa::Gpr::RET).value as i64));
-            }
+            Op::Halt => return Flow::Halt,
         }
-
-        self.retire_fast::<HOT>(ip, insn.prov, cycles);
-        self.cpu.ip = next_ip;
-        StepOut::Continue
+        Flow::Next
     }
 
     fn do_cmp(
@@ -1418,6 +1021,76 @@ impl Machine {
             self.cpu.set_pr(pt, r);
             self.cpu.set_pr(pf, !r);
         }
+    }
+}
+
+/// What one instruction asks its driver to do next (see
+/// `Machine::execute`).
+enum Flow {
+    /// Fall through to `ip + 1`.
+    Next,
+    /// Transfer control to the target.
+    Jump(usize),
+    /// Stop with a fault; `ip` stays on the faulting instruction.
+    Fault(Fault),
+    /// Trap into the runtime with this call number; `ip + 1` resumes.
+    Syscall(u32),
+    /// Stop with `r8` as the guest's status.
+    Halt,
+}
+
+/// A driver's accounting sink for `Machine::execute`: where an
+/// instruction's cycles beyond its base cost go, and which
+/// per-instruction hooks run.
+trait Acct {
+    /// Adds `cycles` to `prov`'s charge, wrapping: a deviation such as a
+    /// squashed slot (`pred_off − base`) is negative.
+    fn charge(&mut self, prov: Provenance, cycles: u64);
+    /// The taint observer, when this driver runs hooks and one is armed.
+    fn observer(m: &mut Machine) -> Option<&mut TaintObserver>;
+    /// The profiler, when this driver runs hooks and one is armed.
+    fn profiler(m: &mut Machine) -> Option<&mut Profiler>;
+}
+
+/// The block driver's sink: per-provenance retire accumulators that
+/// persist across chained blocks until a side exit flushes them. No hooks.
+struct BlockAcct {
+    cycles: [u64; NPROV],
+    insns: [u64; NPROV],
+}
+
+impl Acct for BlockAcct {
+    #[inline(always)]
+    fn charge(&mut self, prov: Provenance, cycles: u64) {
+        let i = prov.index();
+        self.cycles[i] = self.cycles[i].wrapping_add(cycles);
+    }
+    #[inline(always)]
+    fn observer(_: &mut Machine) -> Option<&mut TaintObserver> {
+        None
+    }
+    #[inline(always)]
+    fn profiler(_: &mut Machine) -> Option<&mut Profiler> {
+        None
+    }
+}
+
+/// The stepper's sink: the one instruction's cycles beyond its base, with
+/// every armed hook live.
+struct StepCycles(u64);
+
+impl Acct for StepCycles {
+    #[inline(always)]
+    fn charge(&mut self, _: Provenance, cycles: u64) {
+        self.0 = self.0.wrapping_add(cycles);
+    }
+    #[inline(always)]
+    fn observer(m: &mut Machine) -> Option<&mut TaintObserver> {
+        m.obs.as_deref_mut()
+    }
+    #[inline(always)]
+    fn profiler(m: &mut Machine) -> Option<&mut Profiler> {
+        m.profiler.as_deref_mut()
     }
 }
 

@@ -47,7 +47,6 @@ use crate::mem::Memory;
 #[derive(Clone, Debug)]
 pub struct MachineSeed {
     code: Arc<[Insn]>,
-    base_cost: Arc<[u64]>,
     /// Code pre-decoded into superblocks (see `crate::block`): built once
     /// here, shared by every spawn like `code` — decode cost never lands on
     /// the execution path.
@@ -80,7 +79,6 @@ impl MachineSeed {
         mem.freeze();
         MachineSeed {
             code: image.code.clone().into(),
-            base_cost: image.code.iter().map(|i| CostModel::ITANIUM2.base(&i.op)).collect(),
             blocks: Arc::new(BlockProgram::build(&image.code, &CostModel::ITANIUM2)),
             mem,
             entry: image.entry,
@@ -113,7 +111,7 @@ impl MachineSeed {
     pub fn into_machine(self) -> Machine {
         let mut cpu = Cpu::new(self.entry);
         cpu.set_gpr_val(shift_isa::Gpr::SP, self.stack_top);
-        Machine::from_seed_parts(cpu, self.mem, self.code, self.base_cost, self.blocks)
+        Machine::from_seed_parts(cpu, self.mem, self.code, self.blocks)
     }
 
     /// Pages of the pristine image that are actually resident (frame

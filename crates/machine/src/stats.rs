@@ -89,7 +89,7 @@ const NPROV: usize = Provenance::ALL.len();
 /// Execution statistics for one run.
 ///
 /// All counters are *modelled* events — deterministic for a given program
-/// and input, regardless of host speed or dispatch tier:
+/// and input, regardless of host speed or dispatch driver:
 ///
 /// ```
 /// use shift_isa::{Gpr, Insn, Op, Provenance};

@@ -1,9 +1,10 @@
 //! Differential property tests for superblock dispatch.
 //!
-//! The superblock tier (DESIGN.md §13) is a pure host optimization: for any
+//! The block driver (DESIGN.md §13) is a pure host optimization: for any
 //! program — loops, predication, speculative loads, mid-block faults,
 //! injected perturbations — [`Machine::run`] must produce bit-identical
-//! results to stepping the same instructions one at a time. These tests
+//! results to stepping the same instructions one at a time, with or without
+//! the stepper's hooks or the watchdog armed. These tests
 //! generate random programs from the constructs that stress block dispatch
 //! (backward branches forming hot blocks, predicated slots, `chk.s` side
 //! exits, faulting stores) and require *everything* observable to match:
@@ -206,20 +207,38 @@ fn step_strategy() -> BoxedStrategy<Step> {
     .boxed()
 }
 
-/// Runs `image` through both dispatch tiers and asserts bit-identity of
-/// everything observable.
+/// Runs `image` through both drivers in four configurations and asserts
+/// bit-identity of everything observable:
+///
+/// 1. `run` with nothing armed — the block driver;
+/// 2. `run_per_insn` — the stepper on every instruction;
+/// 3. `run` with the taint observer armed — the stepper with its hooks live;
+/// 4. `run` with a watchdog armed above [`BUDGET`] — the fleet's
+///    configuration, whose side exits step with fuel being charged.
 fn assert_tiers_agree(image: &Image, injections: &[(u64, Injection)]) -> Result<(), TestCaseError> {
     let seed = MachineSeed::new(image);
     let mut sb = seed.spawn_injected(injections);
-    let mut pi = seed.spawn_injected(injections);
-
     let exit_sb = sb.run(&mut NullOs, BUDGET);
-    let exit_pi = pi.run_per_insn(&mut NullOs, BUDGET);
 
-    prop_assert_eq!(&exit_sb, &exit_pi, "dispatch tiers diverged in exit");
-    prop_assert_eq!(sb.cpu.ip, pi.cpu.ip, "dispatch tiers diverged in final ip");
-    prop_assert_eq!(sb.state_digest(), pi.state_digest(), "dispatch tiers diverged in guest state");
-    prop_assert_eq!(&sb.stats, &pi.stats, "dispatch tiers diverged in modelled accounting");
+    let mut pi = seed.spawn_injected(injections);
+    let exit_pi = pi.run_per_insn(&mut NullOs, BUDGET);
+    let mut observed = seed.spawn_injected(injections);
+    observed.enable_taint_observer();
+    let exit_observed = observed.run(&mut NullOs, BUDGET);
+    let mut fueled = seed.spawn_injected(injections);
+    fueled.arm_watchdog(BUDGET + 1);
+    let exit_fueled = fueled.run(&mut NullOs, BUDGET);
+
+    for (arm, m, exit) in [
+        ("run_per_insn", &pi, &exit_pi),
+        ("observer armed", &observed, &exit_observed),
+        ("watchdog armed", &fueled, &exit_fueled),
+    ] {
+        prop_assert_eq!(&exit_sb, exit, "{} diverged in exit", arm);
+        prop_assert_eq!(sb.cpu.ip, m.cpu.ip, "{} diverged in final ip", arm);
+        prop_assert_eq!(sb.state_digest(), m.state_digest(), "{} diverged in guest state", arm);
+        prop_assert_eq!(&sb.stats, &m.stats, "{} diverged in modelled accounting", arm);
+    }
     Ok(())
 }
 
@@ -239,7 +258,7 @@ proptest! {
     /// ... and with a random injection schedule armed: events that land in
     /// the middle of a block must make the block guard refuse entry, so the
     /// perturbation fires at exactly the same retired-instruction count on
-    /// both tiers.
+    /// both drivers.
     #[test]
     fn superblocks_match_per_insn_under_injection(
         steps in prop::collection::vec(step_strategy(), 1..40),
@@ -285,7 +304,7 @@ proptest! {
 /// Regression: an injection scheduled to fire in the middle of what block
 /// dispatch sees as one long superblock must still fire at *exactly* its
 /// retired-instruction count — the entry guard has to bounce the block to
-/// the per-instruction tier rather than run past the event.
+/// the stepper rather than run past the event.
 #[test]
 fn mid_block_injection_fires_at_exact_instruction_count() {
     // One 21-instruction straight-line block (20 ALU ops + halt).

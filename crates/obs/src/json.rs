@@ -4,11 +4,17 @@
 //! cannot use `serde`. This module implements exactly the subset the
 //! observability layer needs: a value tree, a pretty-printer with stable
 //! (insertion-ordered) object keys, and a strict recursive-descent parser
-//! used by the schema round-trip tests and the CI smoke check.
+//! used by the schema round-trip tests and the CI smoke check. The parser
+//! runs in time linear in its input and refuses documents nested deeper
+//! than 128 levels, so a hostile file cannot exhaust the stack.
 //!
 //! Integers are kept in a dedicated [`Json::U64`] variant so cycle counters
 //! survive a write/parse round trip *exactly* — an `f64` mantissa would
 //! silently lose precision past 2^53 cycles.
+
+/// Deepest array/object nesting [`Json::parse`] accepts; anything deeper
+/// is a [`JsonError`] rather than unbounded recursion.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -145,11 +151,12 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (strict: exactly one value, full input).
+    /// Parses a JSON document (strict: exactly one value, full input, at
+    /// most 128 levels of nesting).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError { pos, reason: "trailing data after value" });
@@ -215,12 +222,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, reason: &'static str) -> Result<
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value; `depth` counts the arrays and objects around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError { pos: *pos, reason: "unexpected end of input" }),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(JsonError { pos: *pos, reason: "nesting too deep" })
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -299,14 +310,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or(JsonError { pos: *pos, reason: "truncated \\u escape" })?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError { pos: *pos, reason: "invalid \\u escape" })?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError { pos: *pos, reason: "invalid \\u escape" })?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or(JsonError { pos: *pos, reason: "invalid \\u escape" })?,
-                        );
+                        let invalid = JsonError { pos: *pos, reason: "invalid \\u escape" };
+                        // Exactly four hex digits: no sign, no spaces.
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(invalid);
+                        }
+                        let code = hex
+                            .iter()
+                            .fold(0, |acc, &h| (acc << 4) | (h as char).to_digit(16).unwrap_or(0));
+                        out.push(char::from_u32(code).ok_or(invalid)?);
                         *pos += 4;
                     }
                     _ => return Err(JsonError { pos: *pos, reason: "invalid escape" }),
@@ -314,20 +326,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 character (input is a &str, so boundaries
-                // are valid).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest)
-                    .map_err(|_| JsonError { pos: *pos, reason: "invalid UTF-8" })?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go.
+                // Both are ASCII, so the run ends on a character boundary
+                // of the (valid UTF-8) input.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| JsonError { pos: start, reason: "invalid UTF-8" })?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[', "expected array")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -336,7 +350,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -349,7 +363,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{', "expected object")?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -362,7 +376,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -409,6 +423,32 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("trub").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041\u00e9""#).unwrap(), Json::Str("Aé".into()));
+        for bad in [r#""\u+041""#, r#""\u 041""#, r#""\u00g1""#, r#""\u004""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_a_crash() {
+        let deep = "[".repeat(1_000_000);
+        assert_eq!(Json::parse(&deep).unwrap_err().reason, "nesting too deep");
+        let deep_obj = "{\"k\":".repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&deep_obj).unwrap_err().reason, "nesting too deep");
+        // The limit itself is fine.
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip() {
+        let doc = Json::obj(vec![("café ☕", Json::Str("naïve → 世界 🦀 \"q\" \\ end".into()))]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(Json::parse("\"ß🦀\"").unwrap(), Json::Str("ß🦀".into()));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! Recording is zero-perturbation by construction: hooks only *read*
 //! modelled state and append to a host-side ring, and none of them sit on
 //! the per-instruction path — events originate at syscall boundaries, block
-//! flushes, and recovery points, so the superblock dispatch tier stays
+//! flushes, and recovery points, so the machine's block driver stays
 //! armed while recording (see DESIGN.md §14).
 
 use std::collections::VecDeque;
