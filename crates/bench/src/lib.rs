@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 
+use shift_core::fleet::work_steal;
 use shift_core::{Granularity, Mode, ShiftOptions};
 use shift_isa::Provenance;
 use shift_workloads::{
@@ -26,8 +27,8 @@ pub fn geomean(xs: &[f64]) -> f64 {
 /// --workers N`). `0` — the default — means "one thread per host core".
 static SWEEP_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// Overrides the host thread count used by the sweep pools (`parallel_map`
-/// and the figure matrices built on it). `0` restores the default
+/// Overrides the host thread count of the sweep pools (the figure
+/// matrices run on the fleet's [`work_steal`] pool). `0` restores the default
 /// (`available_parallelism`); `1` makes every sweep run serially — the
 /// deterministic-CI setting, though the *modelled* numbers never depend on
 /// this either way.
@@ -44,38 +45,6 @@ fn sweep_workers(jobs: usize) -> usize {
         n => n,
     };
     configured.min(jobs).max(1)
-}
-
-/// Runs `f` over `items` on a bounded worker pool (one OS thread per host
-/// core unless [`set_sweep_workers`] says otherwise, capped by the job
-/// count), preserving input order in the output. Every simulated Machine is
-/// independent, so the modelled numbers are identical to a serial sweep —
-/// only host wall-clock changes.
-fn parallel_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = sweep_workers(n);
-    let next = AtomicUsize::new(0);
-    let out: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *out[i].lock().expect("result slot") = Some(r);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.into_inner().expect("result slot").expect("worker filled its slot"))
-        .collect()
 }
 
 /// The mode groups behind Figures 7 and 8, in one canonical order:
@@ -109,7 +78,7 @@ fn spec_groups(fig7_conds: &'static [bool]) -> [(Mode, &'static [bool]); 7] {
     ]
 }
 
-/// Runs a bench × mode-group matrix as one `parallel_map` job pool and
+/// Runs a bench × mode-group matrix as one [`work_steal`] job pool and
 /// returns, per benchmark, per group, one `(modelled cycles, host ns)` pair
 /// per taint condition.
 ///
@@ -123,7 +92,8 @@ fn spec_matrix(scale: Scale, groups: &[(Mode, &'static [bool])]) -> Vec<Vec<Vec<
         .enumerate()
         .flat_map(|(b, _)| groups.iter().map(move |&(m, conds)| (b, m, conds)))
         .collect();
-    let results: Vec<Vec<(u64, u64)>> = parallel_map(&jobs, |&(b, mode, conds)| {
+    let results: Vec<Vec<(u64, u64)>> = work_steal(jobs.len(), sweep_workers(jobs.len()), |i| {
+        let (b, mode, conds) = jobs[i];
         let bench = &benches[b];
         let t0 = Instant::now();
         let compiled = compile_spec(bench, mode);
@@ -165,7 +135,7 @@ pub struct SpecRow {
 /// Figure 7: SPEC slowdowns at both granularities and taint conditions.
 ///
 /// The whole bench × mode matrix (including the uninstrumented baselines)
-/// runs as one job list over `parallel_map`, so a slow benchmark's modes
+/// runs as one job list over [`work_steal`], so a slow benchmark's modes
 /// overlap instead of serializing behind each other. The tainted and
 /// untainted bars of a mode share one job — compilation is independent of
 /// the taint condition, so each mode compiles once and runs twice.
@@ -237,7 +207,7 @@ impl EnhanceRow {
 /// Figure 8: the effect of the proposed instructions.
 ///
 /// Like [`fig7_spec_slowdowns`], the full bench × mode matrix runs as one
-/// `parallel_map` job list.
+/// [`work_steal`] job list.
 pub fn fig8_enhancements(scale: Scale) -> Vec<EnhanceRow> {
     let matrix = spec_matrix(scale, &spec_groups(&[true]));
     fig8_rows_from(&matrix, &[0, 1, 2, 3, 4, 5, 6])
@@ -323,7 +293,8 @@ pub fn fig9_breakdown(scale: Scale) -> Vec<BreakdownRow> {
 /// baseline (uninstrumented, tainted-config) cycle count.
 fn run_suite<T: Send>(scale: Scale, f: impl Fn(&SpecBench, u64) -> T + Sync) -> Vec<T> {
     let benches = all_benches();
-    parallel_map(&benches, |bench| {
+    work_steal(benches.len(), sweep_workers(benches.len()), |i| {
+        let bench = &benches[i];
         let baseline = run_spec(bench, Mode::Uninstrumented, scale, true).stats.cycles;
         f(bench, baseline)
     })
@@ -351,7 +322,7 @@ pub struct ApacheRow {
 ///
 /// `requests` scales the run length (the paper used 1,000 requests with
 /// `ab`; the simulator preserves the CPU-to-I/O structure at smaller
-/// counts). The size × mode matrix runs on the `parallel_map` pool —
+/// counts). The size × mode matrix runs on the [`work_steal`] pool —
 /// every server run is an independent simulated machine.
 pub fn fig6_apache(file_sizes: &[usize], requests: usize) -> Vec<ApacheRow> {
     use shift_workloads::apache::run_apache;
@@ -362,7 +333,8 @@ pub fn fig6_apache(file_sizes: &[usize], requests: usize) -> Vec<ApacheRow> {
     ];
     let jobs: Vec<(usize, Mode)> =
         file_sizes.iter().flat_map(|&size| modes.iter().map(move |&m| (size, m))).collect();
-    let results = parallel_map(&jobs, |&(size, mode)| {
+    let results = work_steal(jobs.len(), sweep_workers(jobs.len()), |i| {
+        let (size, mode) = jobs[i];
         let t0 = Instant::now();
         let run = run_apache(mode, size, requests);
         (run.latency(), run.throughput(), t0.elapsed().as_nanos() as u64)
@@ -1353,12 +1325,13 @@ mod tests {
 
     #[test]
     fn sweep_workers_override_caps_the_pool() {
-        // The override changes only host scheduling; parallel_map results
-        // stay ordered and complete.
+        // The override changes only host scheduling; pooled results stay
+        // ordered and complete.
+        let square = |i: usize| (i as u64 + 1).pow(2);
         set_sweep_workers(1);
-        let serial: Vec<u64> = parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
+        let serial: Vec<u64> = work_steal(4, sweep_workers(4), square);
         set_sweep_workers(3);
-        let pooled: Vec<u64> = parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
+        let pooled: Vec<u64> = work_steal(4, sweep_workers(4), square);
         set_sweep_workers(0);
         assert_eq!(serial, vec![1, 4, 9, 16]);
         assert_eq!(serial, pooled);

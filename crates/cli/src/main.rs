@@ -22,12 +22,12 @@
 //! `serve` runs the fleet engine: the Apache guest is compiled once, then
 //! `--connections` connections of `--requests` requests each are served
 //! across a `--workers`-wide modelled fleet (default: one instance per host
-//! core). Without `--size-kb` the connections carry the mixed
-//! production-traffic stream; with it, every request fetches one file of
-//! that size. `--workers` on `bench` instead caps the *host* thread pool
-//! the experiment sweeps run on (`--workers 1` for fully serial,
-//! deterministic-latency CI runs — the modelled numbers are identical
-//! either way).
+//! core; zero is a usage error). Without `--size-kb` the connections carry
+//! the mixed production-traffic stream; with it, every request fetches one
+//! file of that size. `--workers` on `bench` instead caps the *host* thread
+//! pool the experiment sweeps run on (`--workers 1` for fully serial,
+//! deterministic-latency CI runs, `0` for one thread per host core — the
+//! modelled numbers are identical either way).
 //!
 //! Open-loop serving (`--arrivals`, DESIGN.md §16): instead of the
 //! closed-loop round-robin fleet, connections *arrive* on a modelled clock
@@ -201,9 +201,9 @@ fn exit_code_for(exit: &Exit) -> ExitCode {
         Exit::Fault(_) => ExitCode::Fault,
         Exit::FuelExhausted => ExitCode::Fuel,
         Exit::InsnLimit => ExitCode::InsnLimit,
-        // Sessions drain parks internally (a parked guest is resumed until
-        // it reaches a real exit), so a Parked can only surface through a
-        // misuse of the session API — treat it as a usage error.
+        // The serve loop resumes every park until the guest reaches a real
+        // exit, so a Parked cannot reach the CLI — treat it as a usage
+        // error.
         Exit::Parked => ExitCode::Usage,
     }
 }
@@ -581,6 +581,57 @@ impl ServeOpts {
     fn recording(&self) -> bool {
         self.trace_out.is_some() || self.prom_out.is_some() || self.sample_cycles.is_some()
     }
+}
+
+/// Parses `shift serve`'s options (after mode extraction).
+fn parse_serve_opts(args: &mut Vec<String>) -> Result<ServeOpts, String> {
+    let take_num = |args: &mut Vec<String>, flag: &str, default: usize| match take_opt(args, flag)?
+    {
+        Some(n) => n.parse().map_err(|_| format!("bad {flag} `{n}`")),
+        None => Ok(default),
+    };
+    let arrivals = take_opt(args, "--arrivals")?;
+    // Closed-loop `--workers` is the modelled fleet width and
+    // defaults to one instance per host core; open-loop workers
+    // are the event scheduler's modelled cores and default to
+    // the paper-scale width of 8.
+    let default_workers = if arrivals.is_some() {
+        8
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    };
+    Ok(ServeOpts {
+        workers: match take_num(args, "--workers", default_workers)? {
+            0 => return Err("--workers must be at least 1".into()),
+            n => n,
+        },
+        connections: take_num(args, "--connections", 8)?,
+        requests: take_num(args, "--requests", 4)?,
+        size_kb: take_opt(args, "--size-kb")?
+            .map(|n| n.parse().map_err(|_| format!("bad --size-kb `{n}`")))
+            .transpose()?,
+        json: take_opt(args, "--json")?,
+        seed: take_opt(args, "--seed")?
+            .map(|n| n.parse().map_err(|_| format!("bad --seed `{n}`")))
+            .transpose()?,
+        inject: take_flag(args, "--inject"),
+        record: take_opt(args, "--record")?,
+        trace_out: take_opt(args, "--trace-out")?,
+        prom_out: take_opt(args, "--prom-out")?,
+        sample_cycles: take_opt(args, "--sample-cycles")?
+            .map(|n| n.parse().map_err(|_| format!("bad --sample-cycles `{n}`")))
+            .transpose()?,
+        arrivals,
+        accept_cap: take_num(args, "--accept-cap", 1024)?,
+        max_resident: take_num(args, "--max-resident", 256)?,
+        quantum: match take_opt(args, "--quantum")? {
+            Some(n) => n.parse().map_err(|_| format!("bad --quantum `{n}`"))?,
+            None => 100_000,
+        },
+        host_workers: take_opt(args, "--host-workers")?
+            .map(|n| n.parse().map_err(|_| format!("bad --host-workers `{n}`")))
+            .transpose()?,
+    })
 }
 
 /// Serves a deterministic Apache request stream across a modelled fleet:
@@ -1427,62 +1478,13 @@ fn run() -> ExitCode {
                 _ => usage(),
             }
         }
-        "serve" => {
-            let parsed = (|| -> Result<ServeOpts, String> {
-                let take_num = |args: &mut Vec<String>, flag: &str, default: usize| match take_opt(
-                    args, flag,
-                )? {
-                    Some(n) => n.parse().map_err(|_| format!("bad {flag} `{n}`")),
-                    None => Ok(default),
-                };
-                let arrivals = take_opt(&mut args, "--arrivals")?;
-                // Closed-loop `--workers` is the modelled fleet width and
-                // defaults to one instance per host core; open-loop workers
-                // are the event scheduler's modelled cores and default to
-                // the paper-scale width of 8.
-                let default_workers = if arrivals.is_some() {
-                    8
-                } else {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                };
-                Ok(ServeOpts {
-                    workers: take_num(&mut args, "--workers", default_workers)?,
-                    connections: take_num(&mut args, "--connections", 8)?,
-                    requests: take_num(&mut args, "--requests", 4)?,
-                    size_kb: take_opt(&mut args, "--size-kb")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --size-kb `{n}`")))
-                        .transpose()?,
-                    json: take_opt(&mut args, "--json")?,
-                    seed: take_opt(&mut args, "--seed")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --seed `{n}`")))
-                        .transpose()?,
-                    inject: take_flag(&mut args, "--inject"),
-                    record: take_opt(&mut args, "--record")?,
-                    trace_out: take_opt(&mut args, "--trace-out")?,
-                    prom_out: take_opt(&mut args, "--prom-out")?,
-                    sample_cycles: take_opt(&mut args, "--sample-cycles")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --sample-cycles `{n}`")))
-                        .transpose()?,
-                    arrivals,
-                    accept_cap: take_num(&mut args, "--accept-cap", 1024)?,
-                    max_resident: take_num(&mut args, "--max-resident", 256)?,
-                    quantum: match take_opt(&mut args, "--quantum")? {
-                        Some(n) => n.parse().map_err(|_| format!("bad --quantum `{n}`"))?,
-                        None => 100_000,
-                    },
-                    host_workers: take_opt(&mut args, "--host-workers")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --host-workers `{n}`")))
-                        .transpose()?,
-                })
-            })();
-            match parsed {
-                Ok(opts) => cmd_serve(mode, opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::Usage
-                }
+        "serve" => match parse_serve_opts(&mut args) {
+            Ok(opts) => cmd_serve(mode, opts),
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::Usage
             }
-        }
+        },
         "bench" => {
             let json = take_flag(&mut args, "--json");
             let scale =
@@ -1619,6 +1621,20 @@ mod tests {
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), codes.len(), "{codes:?}");
+    }
+
+    #[test]
+    fn serve_rejects_zero_workers_in_both_modes() {
+        // Zero modelled workers would be recorded into replay logs that
+        // replay cannot serve; both serving modes refuse it up front.
+        for argv in [
+            &["--workers", "0"][..],
+            &["--arrivals", "poisson:30000", "--workers", "0", "--connections", "8"][..],
+        ] {
+            let err = parse_serve_opts(&mut args(argv)).err();
+            assert_eq!(err.as_deref(), Some("--workers must be at least 1"), "{argv:?}");
+        }
+        assert_eq!(parse_serve_opts(&mut args(&["--workers", "1"])).unwrap().workers, 1);
     }
 
     /// The replay-specific exit codes must not collide with the usage code

@@ -13,13 +13,14 @@
 //! Connections share no modelled state (each runs on a pristine spawn of
 //! the shared image), so the simulation splits exactly:
 //!
-//! 1. **Trace capture** (parallel, host-side): every connection is
-//!    pre-simulated once with yield-on-I/O parking armed
-//!    ([`crate::ServeSession`]), producing its [`Segment`] trace — the
-//!    alternating `(cpu, io)` legs of its execution. The park/resume
-//!    differential tests pin that this run is bit-identical to a
-//!    straight-through serve, so the trace is *the* connection's behaviour,
-//!    not an approximation of it.
+//! 1. **Trace capture** (parallel, host-side): every connection is served
+//!    once, straight through, with yield-on-I/O parking armed
+//!    ([`crate::Fleet::serve_one_traced`]); the session loop writes down a
+//!    [`Segment`] at each park and resumes at once, so the run yields its
+//!    alternating `(cpu, io)` legs. The park differential tests pin that
+//!    this run is bit-identical to a serve without parking, so the trace is
+//!    *the* connection's behaviour, not an approximation of it. Guest
+//!    execution is never interleaved: nothing is paused and resumed later.
 //! 2. **Event loop** (sequential, cheap): a binary-heap run queue keyed on
 //!    modelled cycles replays the traces against the arrival schedule:
 //!    workers execute cpu legs (sliced by the round-robin quantum), parked

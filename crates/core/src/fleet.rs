@@ -18,7 +18,7 @@
 //! per-connection results in connection order with exact integer sums
 //! ([`shift_machine::Stats::merge`], [`Registry::merge`]), so the merged
 //! numbers are bit-identical for any worker count, and equal to a
-//! sequential loop over [`Shift::serve_image`].
+//! sequential loop over [`Shift::serve_image_injected`].
 //!
 //! What *does* depend on the worker count `W` is the modelled fleet
 //! makespan: the fleet models `W` instances running concurrently, with
@@ -41,7 +41,7 @@ use shift_obs::SCHEDULER_TRACK;
 use crate::event::{self, Disposition, OpenLoopConfig, Segment};
 use crate::metrics::serve_metrics;
 use crate::replay::Expected;
-use crate::{CompileError, FlightConfig, ProgramImage, ServeReport, SessionStep, Shift, World};
+use crate::{CompileError, FlightConfig, ProgramImage, Shift, World};
 
 /// A per-connection fault-injection schedule for [`Fleet::serve_chaos`]:
 /// entry `c` is the `(countdown, injection)` list armed on connection `c`'s
@@ -65,7 +65,8 @@ pub struct Fleet {
     image: Arc<ProgramImage>,
 }
 
-/// One connection's outcome, extracted from its instance's [`ServeReport`].
+/// One connection's outcome, extracted from its instance's
+/// [`ServeReport`](crate::ServeReport).
 #[derive(Clone, Debug)]
 pub struct ConnectionReport {
     /// Index of the connection in the input stream.
@@ -76,7 +77,7 @@ pub struct ConnectionReport {
     pub exit: Exit,
     /// Requests delivered to this connection's instance.
     pub requests_delivered: u64,
-    /// Requests completed (see [`ServeReport::served`]).
+    /// Requests completed (see [`crate::ServeReport::served`]).
     pub served: u64,
     /// Requests rolled back with service continuing.
     pub recovered: u64,
@@ -265,30 +266,61 @@ impl Fleet {
         faults: &FaultPlan,
         workers: usize,
     ) -> FleetReport {
-        let start = std::time::Instant::now();
-        let width = workers.max(1);
-        let reports = work_steal(connections.len(), width, |c| {
-            let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
-            self.serve_one(base, &connections[c], inj, c, width)
-        });
-        Self::aggregate(width, reports, start.elapsed().as_nanos() as u64)
+        self.serve_closed_loop(base, connections, faults, workers, workers)
     }
 
-    /// The reference path: serves every connection in order on this thread.
-    /// Produces the identical aggregate to [`Fleet::serve`] with the same
-    /// `workers` width (the differential tests enforce this).
+    /// The reference path: [`Fleet::serve`] with every connection served in
+    /// order on this thread. Produces the identical aggregate to
+    /// [`Fleet::serve`] with the same `workers` width (the differential
+    /// tests enforce this).
     pub fn serve_sequential(
         &self,
         base: &World,
         connections: &[Vec<Vec<u8>>],
         workers: usize,
     ) -> FleetReport {
+        self.serve_closed_loop(base, connections, &[], workers, 1)
+    }
+
+    /// The closed-loop pipeline: serve every connection on a pool of
+    /// `host_workers` host threads, then fold the reports in connection
+    /// order onto a modelled fleet of `workers` instances.
+    fn serve_closed_loop(
+        &self,
+        base: &World,
+        connections: &[Vec<Vec<u8>>],
+        faults: &FaultPlan,
+        workers: usize,
+        host_workers: usize,
+    ) -> FleetReport {
         let start = std::time::Instant::now();
         let width = workers.max(1);
-        let reports: Vec<ConnectionReport> = (0..connections.len())
-            .map(|c| self.serve_one(base, &connections[c], NO_INJECTIONS, c, width))
-            .collect();
-        Self::aggregate(width, reports, start.elapsed().as_nanos() as u64)
+        let reports = work_steal(connections.len(), host_workers, |c| {
+            let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
+            self.serve_one(base, &connections[c], inj, c, width)
+        });
+        let mut totals = Totals::default();
+        let mut instance_busy = vec![0u64; width];
+        for r in &reports {
+            totals.add(r);
+            instance_busy[r.instance] += r.time;
+        }
+        FleetReport {
+            workers: width,
+            connections: reports,
+            stats: totals.stats,
+            registry: totals.registry,
+            violations: totals.violations,
+            requests: totals.requests,
+            served: totals.served,
+            recovered: totals.recovered,
+            dropped: totals.dropped,
+            recovery_cycles: totals.recovery_cycles,
+            wall_cycles: instance_busy.into_iter().max().unwrap_or(0),
+            owned_pages_total: totals.owned_pages_total,
+            peak_owned_pages: totals.peak_owned_pages,
+            host_ns: start.elapsed().as_nanos() as u64,
+        }
     }
 
     /// Simulates one connection on a pristine instance, with an optional
@@ -304,13 +336,11 @@ impl Fleet {
         c: usize,
         width: usize,
     ) -> ConnectionReport {
-        let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
-        let report = self.shift.serve_image_injected(&self.image, world, injections);
-        self.connection_report(report, c, width)
+        self.serve_connection(base, requests, injections, c, width, false).0
     }
 
     /// [`Fleet::serve_one`] with yield-on-I/O parking armed: the session
-    /// parks at every I/O point and is resumed immediately, capturing its
+    /// parks at every I/O point and is resumed immediately, recording its
     /// [`Segment`] trace — the `(cpu, io)` legs the open-loop event loop
     /// schedules. The park/resume differential contract
     /// (`tests/open_loop.rs`) guarantees the report is bit-identical to
@@ -323,33 +353,23 @@ impl Fleet {
         c: usize,
         width: usize,
     ) -> (ConnectionReport, Vec<Segment>) {
-        let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
-        let mut session = self.shift.serve_session(&self.image, world, injections, true);
-        let mut segments = Vec::new();
-        let (mut cpu_seen, mut io_seen) = (0u64, 0u64);
-        while let SessionStep::Parked { cpu, io } = session.advance() {
-            segments.push(Segment { cpu, io });
-            cpu_seen += cpu;
-            io_seen += io;
-        }
-        let report = session.finish();
-        // The terminal leg: whatever ran after the last park (including any
-        // I/O charged by recovery redeliveries, which never park).
-        segments.push(Segment {
-            cpu: report.stats.cycles - cpu_seen,
-            io: report.stats.io_cycles - io_seen,
-        });
-        (self.connection_report(report, c, width), segments)
+        self.serve_connection(base, requests, injections, c, width, true)
     }
 
-    /// Extracts a [`ConnectionReport`] from a finished session (the shared
-    /// tail of [`Fleet::serve_one`] and [`Fleet::serve_one_traced`]).
-    fn connection_report(
+    /// Runs the session loop for connection `c` and extracts its
+    /// [`ConnectionReport`] (the body of [`Fleet::serve_one`] and
+    /// [`Fleet::serve_one_traced`]).
+    fn serve_connection(
         &self,
-        mut report: ServeReport,
+        base: &World,
+        requests: &[Vec<u8>],
+        injections: &[(u64, Injection)],
         c: usize,
         width: usize,
-    ) -> ConnectionReport {
+        park: bool,
+    ) -> (ConnectionReport, Vec<Segment>) {
+        let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
+        let (mut report, legs) = self.shift.serve_legs(&self.image, world, injections, park);
         // Track id = connection index (NOT the modelled instance, which
         // varies with the fleet width): the merged timeline must be
         // width-invariant. The whole session becomes one wrapping span.
@@ -361,37 +381,27 @@ impl Fleet {
         // Metrics after the session span and before the recorder is detached,
         // so the `obs.trace.*` series count exactly the events exported.
         let registry = serve_metrics(&report);
-        let ServeReport {
-            exit,
-            served,
-            recovered,
-            dropped,
-            recovery_cycles,
-            violations,
-            stats,
-            runtime,
-            mut machine,
-        } = report;
+        let mut machine = report.machine;
         let trace = machine.take_flight_recorder();
-        let owned_pages = machine.mem.owned_pages();
-        ConnectionReport {
+        let conn = ConnectionReport {
             connection: c,
             instance: c % width,
-            exit,
-            requests_delivered: runtime.requests_delivered,
-            served,
-            recovered,
-            dropped,
-            recovery_cycles,
-            time: stats.total_time(),
-            violations,
-            latencies: runtime.request_latencies.clone(),
+            exit: report.exit,
+            requests_delivered: report.runtime.requests_delivered,
+            served: report.served,
+            recovered: report.recovered,
+            dropped: report.dropped,
+            recovery_cycles: report.recovery_cycles,
+            time: report.stats.total_time(),
+            violations: report.violations,
+            latencies: report.runtime.request_latencies,
             registry,
             state_digest: machine.state_digest(),
-            stats,
+            stats: report.stats,
             trace,
-            owned_pages,
-        }
+            owned_pages: machine.mem.owned_pages(),
+        };
+        (conn, legs)
     }
 
     /// Serves an open-loop workload: `connections[c]` arrives at modelled
@@ -403,9 +413,10 @@ impl Fleet {
     /// Host-side, `host_workers` threads pre-simulate connection traces in
     /// parallel (phase 1); the event loop itself is sequential (phase 2).
     /// The report is bit-identical at any `host_workers` — only
-    /// [`OpenLoopReport::host_ns`] varies — and host memory is bounded by
-    /// the pool: at most `host_workers` machines are resident at once, so
-    /// peak owned pages grows with resident guests, not total connections.
+    /// [`OpenLoopReport::host_ns`] varies. At most `host_workers` machines
+    /// are live at once, but every [`ConnectionReport`] (with its
+    /// [`Registry`]) is kept until the join, so host memory still grows with
+    /// the offered connection count.
     ///
     /// # Panics
     ///
@@ -438,13 +449,9 @@ impl Fleet {
         // run in connection order over *admitted* connections only — shed
         // connections never ran in the model, so their pre-simulated
         // results are discarded.
-        let mut stats = Stats::new();
-        let mut registry = Registry::new();
-        let mut violations = Vec::new();
+        let mut totals = Totals::default();
         let mut rows: Vec<OpenConnection> = Vec::with_capacity(n);
         let mut sojourns: Vec<u64> = Vec::new();
-        let (mut requests, mut served, mut recovered, mut dropped) = (0u64, 0u64, 0u64, 0u64);
-        let (mut owned_pages_total, mut peak_owned_pages) = (0u64, 0u64);
         for (c, (mut report, disposition)) in
             reports.into_iter().zip(des.dispositions.iter().copied()).enumerate()
         {
@@ -463,15 +470,7 @@ impl Fleet {
                     let outcome = Expected::of(&report);
                     let sojourn = finished - arrivals[c];
                     sojourns.push(sojourn);
-                    stats.merge(&report.stats);
-                    registry.merge(&report.registry);
-                    violations.extend(report.violations.iter().cloned());
-                    requests += report.requests_delivered;
-                    served += report.served;
-                    recovered += report.recovered;
-                    dropped += report.dropped;
-                    owned_pages_total += report.owned_pages as u64;
-                    peak_owned_pages = peak_owned_pages.max(report.owned_pages as u64);
+                    totals.add(&report);
                     if let Some(ring) = report.trace.as_mut() {
                         // Dense resident-slot track id plus the connection's
                         // first scheduled cycle: bounded Perfetto tracks at
@@ -493,6 +492,7 @@ impl Fleet {
             }
         }
         sojourns.sort_unstable();
+        let mut registry = totals.registry;
         for &s in &sojourns {
             registry.record("openloop.sojourn_cycles", s);
         }
@@ -524,10 +524,10 @@ impl Fleet {
             offered: n as u64,
             completed: sojourns.len() as u64,
             shed: des.shed,
-            requests,
-            served,
-            recovered,
-            dropped,
+            requests: totals.requests,
+            served: totals.served,
+            recovered: totals.recovered,
+            dropped: totals.dropped,
             wall_cycles: des.wall_cycles,
             busy_cycles: des.busy_cycles,
             peak_queue_depth: des.peak_queue_depth,
@@ -535,68 +535,66 @@ impl Fleet {
             queue_depth: des.queue_depth,
             sojourns,
             connections: rows,
-            stats,
+            stats: totals.stats,
             registry,
-            violations,
-            owned_pages_total,
-            peak_owned_pages,
+            violations: totals.violations,
+            owned_pages_total: totals.owned_pages_total,
+            peak_owned_pages: totals.peak_owned_pages,
             scheduler_trace,
             host_ns: start.elapsed().as_nanos() as u64,
         }
     }
+}
 
-    /// Merges per-connection reports in connection order. Every sum is an
-    /// exact `u64` add, so the result is independent of how the work was
-    /// scheduled.
-    fn aggregate(width: usize, reports: Vec<ConnectionReport>, host_ns: u64) -> FleetReport {
-        let mut stats = Stats::new();
-        let mut registry = Registry::new();
-        let mut violations = Vec::new();
-        let (mut requests, mut served, mut recovered, mut dropped, mut recovery_cycles) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut instance_busy = vec![0u64; width];
-        let (mut owned_pages_total, mut peak_owned_pages) = (0u64, 0u64);
-        for r in &reports {
-            stats.merge(&r.stats);
-            registry.merge(&r.registry);
-            violations.extend(r.violations.iter().cloned());
-            requests += r.requests_delivered;
-            served += r.served;
-            recovered += r.recovered;
-            dropped += r.dropped;
-            recovery_cycles += r.recovery_cycles;
-            instance_busy[r.instance] += r.time;
-            owned_pages_total += r.owned_pages as u64;
-            peak_owned_pages = peak_owned_pages.max(r.owned_pages as u64);
-        }
-        let wall_cycles = instance_busy.into_iter().max().unwrap_or(0);
-        FleetReport {
-            workers: width,
-            connections: reports,
-            stats,
-            registry,
-            violations,
-            requests,
-            served,
-            recovered,
-            dropped,
-            recovery_cycles,
-            wall_cycles,
-            owned_pages_total,
-            peak_owned_pages,
-            host_ns,
-        }
+/// The per-connection fold both fleet reports are built from: connection
+/// reports are added in connection order, and every sum is an exact `u64`
+/// add, so the totals are independent of how the work was scheduled.
+#[derive(Default)]
+struct Totals {
+    stats: Stats,
+    registry: Registry,
+    violations: Vec<Violation>,
+    requests: u64,
+    served: u64,
+    recovered: u64,
+    dropped: u64,
+    recovery_cycles: u64,
+    owned_pages_total: u64,
+    peak_owned_pages: u64,
+}
+
+impl Totals {
+    fn add(&mut self, r: &ConnectionReport) {
+        self.stats.merge(&r.stats);
+        self.registry.merge(&r.registry);
+        self.violations.extend(r.violations.iter().cloned());
+        self.requests += r.requests_delivered;
+        self.served += r.served;
+        self.recovered += r.recovered;
+        self.dropped += r.dropped;
+        self.recovery_cycles += r.recovery_cycles;
+        self.owned_pages_total += r.owned_pages as u64;
+        self.peak_owned_pages = self.peak_owned_pages.max(r.owned_pages as u64);
     }
 }
 
 /// Runs `job(c)` for every `c` in `0..n` on up to `host_workers` scoped
 /// threads and returns the results in index order, whichever thread ran
-/// them. Worker `k` owns the round-robin shard `k, k + host, …` — the same
-/// assignment the modelled fleet uses, so an unstolen run touches each
-/// connection on its "own" instance's thread — and, once that is empty,
-/// steals from the back of the other shards in order.
-fn work_steal<T: Send>(n: usize, host_workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// them — the one host thread pool of the workspace (the fleet's serve
+/// paths and `shift-bench`'s sweeps). Worker `k` owns the round-robin shard
+/// `k, k + host, …` — the same assignment the modelled fleet uses, so an
+/// unstolen run touches each connection on its "own" instance's thread —
+/// and, once that is empty, steals from the back of the other shards in
+/// order. A pool of one runs the jobs in order on the calling thread.
+pub fn work_steal<T: Send>(
+    n: usize,
+    host_workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     let host = host_workers.max(1).min(n.max(1));
+    if host == 1 {
+        return (0..n).map(job).collect();
+    }
     let queues: Vec<Mutex<VecDeque<usize>>> =
         (0..host).map(|k| Mutex::new((k..n).step_by(host).collect())).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();

@@ -335,8 +335,7 @@ impl Shift {
     ///
     /// [`CompileError`] on invalid IR or unresolved symbols.
     pub fn serve(&self, app: &Program, world: World) -> Result<ServeReport, CompileError> {
-        let compiled = self.compile(app)?;
-        Ok(self.serve_compiled(&compiled, world))
+        Ok(self.serve_image_injected(&self.image(app)?, world, &[]))
     }
 
     /// Compiles (with libc) and prepares a [`ProgramImage`]: the
@@ -351,61 +350,50 @@ impl Shift {
         Ok(ProgramImage::new(&self.compile(app)?))
     }
 
-    /// Serves an already-compiled program resiliently (see [`Shift::serve`])
-    /// by preparing a [`ProgramImage`] for this call. Callers serving the
-    /// same program repeatedly should prepare the image once with
-    /// [`Shift::image`] and use [`Shift::serve_image`].
-    pub fn serve_compiled(&self, compiled: &CompiledProgram, world: World) -> ServeReport {
-        self.serve_image(&ProgramImage::new(compiled), world)
-    }
-
-    /// Serves `world`'s request stream on a fresh instance spawned from a
-    /// prebuilt [`ProgramImage`], leaving the image pristine for the next
-    /// spawn.
-    pub fn serve_image(&self, image: &ProgramImage, world: World) -> ServeReport {
-        self.serve_image_injected(image, world, &[])
-    }
-
-    /// [`Shift::serve_image`] with a fault-injection schedule pre-armed on
-    /// the spawned instance: each `(countdown, injection)` pair fires after
-    /// that many retired instructions ([`shift_machine::Machine::inject_after`]).
-    /// The schedule is part of the run's deterministic identity — the chaos
-    /// harness perturbs fleet instances through this path, and the replay
-    /// log re-arms the recorded schedule to reproduce the perturbed run
-    /// bit-identically.
+    /// Serves `world`'s request stream (see [`Shift::serve`]) on a fresh
+    /// instance spawned from a prebuilt [`ProgramImage`], leaving the image
+    /// pristine for the next spawn, with a fault-injection schedule
+    /// pre-armed on the instance: each `(countdown, injection)` pair fires
+    /// after that many retired instructions
+    /// ([`shift_machine::Machine::inject_after`]). The schedule is part of
+    /// the run's deterministic identity — the chaos harness perturbs fleet
+    /// instances through this path, and the replay log re-arms the recorded
+    /// schedule to reproduce the perturbed run bit-identically.
     pub fn serve_image_injected(
         &self,
         image: &ProgramImage,
         world: World,
         injections: &[(u64, Injection)],
     ) -> ServeReport {
-        let mut machine = image.spawn_injected(injections);
-        if self.trace_taint {
-            machine.enable_taint_observer();
-        }
-        if self.profile {
-            machine.enable_profiler(image.func_spans());
-        }
-        if let Some(cfg) = self.flight {
-            machine.enable_flight_recorder(cfg.cap, cfg.sample_cycles);
-        }
-        let mut session = self.open_session(machine, world, false);
-        session.run_to_completion();
-        session.finish()
+        self.serve_legs(image, world, injections, false).0
     }
 
-    /// Opens a [`ServeSession`] on an instance spawned from `image` — the
-    /// resumable form of [`Shift::serve_image_injected`]. With
-    /// `yield_on_io = true` the session parks at every I/O point (see
-    /// [`ServeSession::advance`]); with `false` it behaves exactly like the
-    /// one-shot serve path.
-    pub fn serve_session(
+    /// The resilient session loop — the outermost layer of the user-level
+    /// handler. It spawns and arms one instance, then catches what the
+    /// in-syscall handler cannot — NaT-consumption faults (detections raised
+    /// by the machine, disposed per their L-policy's action), other
+    /// architectural faults (crash containment: always rolled back), and
+    /// watchdog exhaustion (runaway requests) — rolls the transaction back,
+    /// and keeps serving. It stops on a clean halt, the session instruction
+    /// ceiling, fail-stop (`Terminate`) detections, and whenever no
+    /// checkpoint is armed to recover to.
+    ///
+    /// With `park` set the runtime parks at every I/O point; the loop
+    /// records the `(cpu, io)` leg that ended there and resumes at once.
+    /// The legs are the trace the open-loop scheduler replays
+    /// ([`crate::event`]); the last one is whatever ran after the final
+    /// park, so without parking it is the whole session. Parking changes
+    /// nothing else: the instruction budget spans parks (a resume continues
+    /// the same budget leg), so a guest that would hit [`Exit::InsnLimit`]
+    /// straight through hits it at the same instruction when parked at
+    /// every I/O point.
+    pub(crate) fn serve_legs(
         &self,
         image: &ProgramImage,
         world: World,
         injections: &[(u64, Injection)],
-        yield_on_io: bool,
-    ) -> ServeSession {
+        park: bool,
+    ) -> (ServeReport, Vec<Segment>) {
         let mut machine = image.spawn_injected(injections);
         if self.trace_taint {
             machine.enable_taint_observer();
@@ -416,200 +404,93 @@ impl Shift {
         if let Some(cfg) = self.flight {
             machine.enable_flight_recorder(cfg.cap, cfg.sample_cycles);
         }
-        self.open_session(machine, world, yield_on_io)
-    }
-
-    /// Wraps a prepared machine in a [`ServeSession`].
-    fn open_session(&self, mut machine: Machine, world: World, yield_on_io: bool) -> ServeSession {
         machine.arm_watchdog(self.fuel);
         let mut runtime = Runtime::new(self.config.clone(), world, self.granularity())
             .with_io(self.io)
             .with_transactions();
-        if yield_on_io {
+        if park {
             runtime = runtime.with_io_yield();
         }
-        let leg_base = machine.stats.instructions;
-        ServeSession {
-            machine,
-            runtime,
-            insn_limit: self.insn_limit,
-            leg_base,
-            empty_recovery_at: None,
-            done: None,
-        }
-    }
-}
-
-/// One step of a [`ServeSession`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SessionStep {
-    /// The guest parked at an I/O point. `cpu` is the CPU cycles it executed
-    /// and `io` the I/O wait it charged since the previous step — the
-    /// execution segment an event-driven scheduler replays onto a modelled
-    /// worker (run `cpu`, then sleep `io` with the worker free).
-    Parked {
-        /// CPU cycles executed since the previous step.
-        cpu: u64,
-        /// I/O wait cycles charged since the previous step.
-        io: u64,
-    },
-    /// The session reached a terminal exit: collect it with
-    /// [`ServeSession::finish`].
-    Done,
-}
-
-/// A resilient serving session split at its yield points: the serve loop of
-/// [`Shift::serve`] as a resumable continuation. Calling
-/// [`ServeSession::advance`] runs the guest until it either parks at an I/O
-/// point (yield mode only) or reaches a terminal exit; recoveries — the
-/// rollback-and-redeliver resilience of the one-shot path — happen inside
-/// `advance`, invisible to the caller. Thanks to the copy-on-write image
-/// pages a parked session is a cheap continuation: the paper's "thousands of
-/// concurrent connections" become a heap of these, scheduled by
-/// [`fleet::Fleet::serve_open_loop`].
-///
-/// The session preserves the one-shot path's exits bit-for-bit: the
-/// instruction budget spans parks (a resume continues the same budget leg
-/// rather than restarting it), so a guest that would hit [`Exit::InsnLimit`]
-/// straight through hits it at the same instruction when parked at every
-/// I/O point.
-#[derive(Clone, Debug)]
-pub struct ServeSession {
-    machine: Machine,
-    runtime: Runtime,
-    insn_limit: u64,
-    /// Retired-instruction count at the start of the current budget leg
-    /// (session start or last recovery): parks inside a leg share its
-    /// budget, recoveries start a fresh one — exactly the one-shot loop's
-    /// behaviour, where each `Machine::run` call had a fresh relative
-    /// budget.
-    leg_base: u64,
-    /// A rollback that redelivers nothing (queue drained) re-runs the
-    /// guest on bit-identical state, so a second fault at the same
-    /// delivery count would recur forever: allow one attempt per
-    /// delivery point, then let the fault stand.
-    empty_recovery_at: Option<u64>,
-    done: Option<Exit>,
-}
-
-impl ServeSession {
-    /// The resilient session loop — the outermost layer of the user-level
-    /// handler: it catches what the in-syscall handler cannot —
-    /// NaT-consumption faults (detections raised by the machine, disposed
-    /// per their L-policy's action), other architectural faults (crash
-    /// containment: always rolled back), and watchdog exhaustion (runaway
-    /// requests) — rolls the transaction back, and keeps serving. It
-    /// returns [`SessionStep::Parked`] when the guest yields at an I/O
-    /// point, and [`SessionStep::Done`] on a clean halt, the session
-    /// instruction ceiling, fail-stop (`Terminate`) detections, and
-    /// whenever no checkpoint is armed to recover to.
-    pub fn advance(&mut self) -> SessionStep {
-        if self.done.is_some() {
-            return SessionStep::Done;
-        }
-        let cpu0 = self.machine.stats.cycles;
-        let io0 = self.machine.stats.io_cycles;
-        let machine = &mut self.machine;
-        let runtime = &mut self.runtime;
+        // Retired-instruction count at the start of the current budget leg
+        // (session start or last recovery): parks share its budget,
+        // recoveries start a fresh one.
+        let mut leg_base = machine.stats.instructions;
+        // A rollback that redelivers nothing (queue drained) re-runs the
+        // guest on bit-identical state, so a second fault at the same
+        // delivery count would recur forever: allow one attempt per
+        // delivery point, then let the fault stand.
+        let mut empty_recovery_at: Option<u64> = None;
+        let mut legs = Vec::new();
+        let (mut cpu_seen, mut io_seen) = (0u64, 0u64);
         let exit = loop {
-            let used = machine.stats.instructions - self.leg_base;
-            let exit = machine.run(runtime, self.insn_limit.saturating_sub(used));
-            if matches!(exit, Exit::Parked) {
-                return SessionStep::Parked {
-                    cpu: machine.stats.cycles - cpu0,
-                    io: machine.stats.io_cycles - io0,
-                };
-            }
+            let used = machine.stats.instructions - leg_base;
+            let exit = machine.run(&mut runtime, self.insn_limit.saturating_sub(used));
             let recoverable = match &exit {
-                // Handled above: a park returns to the caller.
-                Exit::Parked => unreachable!("parks return before classification"),
+                Exit::Parked => {
+                    legs.push(Segment {
+                        cpu: machine.stats.cycles - cpu_seen,
+                        io: machine.stats.io_cycles - io_seen,
+                    });
+                    (cpu_seen, io_seen) = (machine.stats.cycles, machine.stats.io_cycles);
+                    continue;
+                }
                 // Clean finish, session ceiling, or a violation the
                 // in-syscall handler already chose to fail-stop on.
                 Exit::Halted(_) | Exit::InsnLimit | Exit::Violation(_) => false,
                 // Runaway request: abort it.
                 Exit::FuelExhausted => true,
-                Exit::Fault(f) => match f {
-                    // A machine-level detection: dispose per the matching
-                    // low-level policy's configured action.
-                    Fault::NatConsumption { kind, .. } => {
-                        let p = Policy::from_fault(*kind);
-                        let provenance = machine
-                            .taint_observer()
-                            .and_then(|o| o.fault_chain())
-                            .map(str::to_string);
-                        runtime.record_violation(Violation {
-                            policy: p.name().to_string(),
-                            message: format!("detected by hardware: {f}"),
-                            ip: machine.cpu.ip,
-                            provenance,
-                        });
-                        let action = runtime.config().action_for(p);
-                        // NaT-consumption detections bypass the in-syscall
-                        // disposal path, so mirror them into the flight
-                        // recorder here.
-                        let now = machine.stats.total_time();
-                        if let Some(fr) = machine.flight_recorder_mut() {
-                            fr.instant(
-                                now,
-                                TraceKind::Violation {
-                                    policy: p.name().to_string(),
-                                    action: runtime::action_name(action).to_string(),
-                                },
-                            );
-                        }
-                        // A faulting instruction cannot be stepped over, so
-                        // `LogAndContinue` degrades to a rollback too.
-                        action != ViolationAction::Terminate
+                // A machine-level detection: dispose per the matching
+                // low-level policy's configured action.
+                Exit::Fault(f @ Fault::NatConsumption { kind, .. }) => {
+                    let p = Policy::from_fault(*kind);
+                    let provenance =
+                        machine.taint_observer().and_then(|o| o.fault_chain()).map(str::to_string);
+                    runtime.record_violation(Violation {
+                        policy: p.name().to_string(),
+                        message: format!("detected by hardware: {f}"),
+                        ip: machine.cpu.ip,
+                        provenance,
+                    });
+                    let action = runtime.config().action_for(p);
+                    // NaT-consumption detections bypass the in-syscall
+                    // disposal path, so mirror them into the flight
+                    // recorder here.
+                    let now = machine.stats.total_time();
+                    if let Some(fr) = machine.flight_recorder_mut() {
+                        fr.instant(
+                            now,
+                            TraceKind::Violation {
+                                policy: p.name().to_string(),
+                                action: runtime::action_name(action).to_string(),
+                            },
+                        );
                     }
-                    // A plain crash (unmapped access, bad syscall, …):
-                    // contain it and keep the server up.
-                    _ => true,
-                },
+                    // A faulting instruction cannot be stepped over, so
+                    // `LogAndContinue` degrades to a rollback too.
+                    action != ViolationAction::Terminate
+                }
+                // A plain crash (unmapped access, bad syscall, …): contain
+                // it and keep the server up.
+                Exit::Fault(_) => true,
             };
-            if recoverable && self.empty_recovery_at != Some(runtime.requests_delivered) {
+            if recoverable && empty_recovery_at != Some(runtime.requests_delivered) {
                 let delivered_before = runtime.requests_delivered;
-                if runtime.recover(machine) {
+                if runtime.recover(&mut machine) {
                     if runtime.requests_delivered == delivered_before {
-                        self.empty_recovery_at = Some(delivered_before);
+                        empty_recovery_at = Some(delivered_before);
                     }
-                    self.leg_base = machine.stats.instructions;
+                    leg_base = machine.stats.instructions;
                     continue;
                 }
             }
             break exit;
         };
-        self.done = Some(exit);
-        SessionStep::Done
-    }
-
-    /// Drains every remaining park: advances until the session reaches its
-    /// terminal exit. The one-shot serve path is exactly this.
-    pub fn run_to_completion(&mut self) {
-        while self.advance() != SessionStep::Done {}
-    }
-
-    /// The terminal exit, once the session is done.
-    pub fn exit(&self) -> Option<&Exit> {
-        self.done.as_ref()
-    }
-
-    /// The machine mid-session (diagnostics; the scheduler uses it to
-    /// restamp flight-recorder tracks).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    /// Modelled total time (CPU + I/O) accumulated so far.
-    pub fn total_time(&self) -> u64 {
-        self.machine.stats.total_time()
-    }
-
-    /// Closes the session and builds its [`ServeReport`], first draining
-    /// any remaining parks so the report is always terminal.
-    pub fn finish(mut self) -> ServeReport {
-        self.run_to_completion();
-        let exit = self.done.take().expect("run_to_completion leaves a terminal exit");
-        let ServeSession { mut machine, mut runtime, .. } = self;
+        // The terminal leg, including any I/O charged by recovery
+        // redeliveries (which never park).
+        legs.push(Segment {
+            cpu: machine.stats.cycles - cpu_seen,
+            io: machine.stats.io_cycles - io_seen,
+        });
         // Close the final request's latency window, mirroring it into the
         // flight recorder like the in-stream windows.
         let session_end = machine.stats.total_time();
@@ -631,7 +512,7 @@ impl ServeSession {
             runtime.requests_delivered,
             "served/recovered/in-flight must partition delivered requests exactly"
         );
-        ServeReport {
+        let report = ServeReport {
             exit,
             served,
             recovered: runtime.aborted_requests,
@@ -641,7 +522,8 @@ impl ServeSession {
             stats: machine.stats.clone(),
             runtime,
             machine,
-        }
+        };
+        (report, legs)
     }
 }
 

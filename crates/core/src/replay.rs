@@ -284,37 +284,11 @@ impl ReplayLog {
         seed: u64,
         report: &FleetReport,
     ) -> ReplayLog {
-        let shift = fleet.shift();
         ReplayLog {
-            program: program.to_string(),
-            mode: shift.mode(),
-            config: shift.config().clone(),
-            io: shift.io(),
-            insn_limit: shift.insn_limit(),
-            fuel: shift.fuel(),
             workers: report.workers,
-            seed,
-            image_digest: fleet.image().pristine_digest(),
-            base: base.clone(),
-            connections: connections
-                .iter()
-                .enumerate()
-                .map(|(c, reqs)| ConnectionLog {
-                    requests: reqs.clone(),
-                    injections: faults.get(c).cloned().unwrap_or_default(),
-                })
-                .collect(),
             expected: report.connections.iter().map(Expected::of).collect(),
-            open_loop: None,
+            ..ReplayLog::record(program, fleet, base, connections, faults, seed)
         }
-    }
-
-    /// Attaches an open-loop section (arrival schedule + scheduler
-    /// parameters) to a captured log. See [`OpenLoopLog`] for the replay
-    /// contract.
-    pub fn with_open_loop(mut self, open_loop: OpenLoopLog) -> ReplayLog {
-        self.open_loop = Some(open_loop);
-        self
     }
 
     /// Assembles a log from a completed [`Fleet::serve_open_loop`] call.
@@ -336,6 +310,41 @@ impl ReplayLog {
         arrivals: &[u64],
         report: &crate::OpenLoopReport,
     ) -> ReplayLog {
+        // The scheduler runs a zero-worker configuration on one worker.
+        let workers = report.config.workers.max(1);
+        ReplayLog {
+            workers,
+            expected: report
+                .connections
+                .iter()
+                .map(|row| row.outcome.clone().unwrap_or_else(Expected::shed))
+                .collect(),
+            open_loop: Some(OpenLoopLog {
+                spec: spec.to_string(),
+                arrivals: arrivals.to_vec(),
+                workers,
+                accept_cap: report.config.accept_cap,
+                max_resident: report.config.max_resident,
+                quantum: report.config.quantum,
+                completed: report.completed,
+                shed: report.shed,
+                wall_cycles: report.wall_cycles,
+            }),
+            ..ReplayLog::record(program, fleet, base, connections, faults, seed)
+        }
+    }
+
+    /// The body both captures share: the session options, image identity
+    /// and per-connection inputs, with no outcomes and no open-loop section
+    /// yet.
+    fn record(
+        program: &str,
+        fleet: &Fleet,
+        base: &World,
+        connections: &[Vec<Vec<u8>>],
+        faults: &FaultPlan,
+        seed: u64,
+    ) -> ReplayLog {
         let shift = fleet.shift();
         ReplayLog {
             program: program.to_string(),
@@ -344,7 +353,7 @@ impl ReplayLog {
             io: shift.io(),
             insn_limit: shift.insn_limit(),
             fuel: shift.fuel(),
-            workers: report.config.workers,
+            workers: 1,
             seed,
             image_digest: fleet.image().pristine_digest(),
             base: base.clone(),
@@ -356,22 +365,8 @@ impl ReplayLog {
                     injections: faults.get(c).cloned().unwrap_or_default(),
                 })
                 .collect(),
-            expected: report
-                .connections
-                .iter()
-                .map(|row| row.outcome.clone().unwrap_or_else(Expected::shed))
-                .collect(),
-            open_loop: Some(OpenLoopLog {
-                spec: spec.to_string(),
-                arrivals: arrivals.to_vec(),
-                workers: report.config.workers,
-                accept_cap: report.config.accept_cap,
-                max_resident: report.config.max_resident,
-                quantum: report.config.quantum,
-                completed: report.completed,
-                shed: report.shed,
-                wall_cycles: report.wall_cycles,
-            }),
+            expected: Vec::new(),
+            open_loop: None,
         }
     }
 
@@ -621,7 +616,7 @@ impl ReplayLog {
             io,
             insn_limit: u64_field(doc, "insn_limit")?,
             fuel: u64_field(doc, "fuel")?,
-            workers: u64_field(doc, "workers")? as usize,
+            workers: workers_field(doc)?,
             seed: u64_field(doc, "seed")?,
             image_digest: u64_field(doc, "image_digest")?,
             base,
@@ -681,6 +676,15 @@ fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
     doc.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer field `{key}`"))
+}
+
+/// A modelled worker count: replaying connection `c` puts it on instance
+/// `c % workers`, so zero is malformed.
+fn workers_field(doc: &Json) -> Result<usize, String> {
+    match u64_field(doc, "workers")? {
+        0 => Err("field `workers` must be at least 1".to_string()),
+        n => Ok(n as usize),
+    }
 }
 
 fn arr_field<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
@@ -884,7 +888,7 @@ fn open_loop_from_json(doc: &Json) -> Result<OpenLoopLog, String> {
     Ok(OpenLoopLog {
         spec: str_field(doc, "spec")?.to_string(),
         arrivals,
-        workers: u64_field(doc, "workers")? as usize,
+        workers: workers_field(doc)?,
         accept_cap: u64_field(doc, "accept_cap")? as usize,
         max_resident: u64_field(doc, "max_resident")? as usize,
         quantum: u64_field(doc, "quantum")?,
@@ -1041,5 +1045,45 @@ mod tests {
         world.files.insert("empty".into(), Vec::new());
         let back = world_from_json(&Json::parse(&world_to_json(&world).render()).unwrap()).unwrap();
         assert_eq!(back, world);
+    }
+
+    #[test]
+    fn zero_workers_are_rejected_at_both_levels() {
+        // Replaying connection `c` serves it on instance `c % workers`, so a
+        // log claiming zero workers must fail to parse, not crash replay.
+        let log = ReplayLog {
+            program: "apache".into(),
+            mode: mode_from_key("byte").unwrap(),
+            config: TaintConfig::default_secure(),
+            io: IoCostModel::SERVER,
+            insn_limit: 1,
+            fuel: 1,
+            workers: 1,
+            seed: 0,
+            image_digest: 0,
+            base: World::new(),
+            connections: vec![ConnectionLog::default()],
+            expected: vec![Expected::shed()],
+            open_loop: Some(OpenLoopLog {
+                spec: "poisson:30000".into(),
+                arrivals: vec![0],
+                workers: 1,
+                accept_cap: 1,
+                max_resident: 1,
+                quantum: 0,
+                completed: 0,
+                shed: 1,
+                wall_cycles: 0,
+            }),
+        };
+        assert_eq!(ReplayLog::parse(&log.render()).unwrap(), log);
+        let mut top = log.clone();
+        top.workers = 0;
+        let err = ReplayLog::parse(&top.render()).unwrap_err();
+        assert!(err.contains("workers"), "{err}");
+        let mut open_loop = log;
+        open_loop.open_loop.as_mut().unwrap().workers = 0;
+        let err = ReplayLog::parse(&open_loop.render()).unwrap_err();
+        assert!(err.contains("workers"), "{err}");
     }
 }

@@ -271,11 +271,6 @@ impl Runtime {
         self
     }
 
-    /// Is yield-on-I/O parking armed?
-    pub fn yields_on_io(&self) -> bool {
-        self.yield_on_io
-    }
-
     /// The result of a syscall that just charged `charged` cycles of I/O
     /// wait: a park when yield-on-I/O is armed and the operation actually
     /// cost something, otherwise plain continuation.

@@ -225,6 +225,51 @@ proptest! {
     }
 }
 
+/// Configuration-file-shaped text: keywords, names and responses in any
+/// order, with comments, blank lines and stray bytes.
+fn config_text() -> impl Strategy<Value = String> {
+    const TOKENS: [&str; 17] = [
+        "source",
+        "policy",
+        "action",
+        "network",
+        "disk",
+        "H3",
+        "L1",
+        "H9",
+        "default",
+        "on",
+        "off",
+        "terminate",
+        "log-and-continue",
+        "abort-transaction",
+        " ",
+        "\n",
+        "#",
+    ];
+    prop::collection::vec(
+        prop_oneof![
+            (0usize..TOKENS.len()).prop_map(|i| TOKENS[i].to_string()),
+            any::<u8>().prop_map(|b| char::from(b).to_string()),
+        ],
+        0..32,
+    )
+    .prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Arbitrary text returns `Ok` or `Err` from the configuration parser,
+    /// never a panic; whatever parses survives render → parse.
+    #[test]
+    fn taint_config_parse_never_panics(text in config_text()) {
+        if let Ok(cfg) = TaintConfig::parse(&text) {
+            prop_assert_eq!(TaintConfig::parse(&cfg.render()), Ok(cfg));
+        }
+    }
+}
+
 #[test]
 fn mode_keys_cover_every_mode() {
     for key in MODE_KEYS {

@@ -393,6 +393,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_preserves_structure_and_integers() {
@@ -458,5 +459,54 @@ mod tests {
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::U64(2).as_f64(), Some(2.0));
         assert_eq!(Json::Str("x".into()).as_str(), Some("x"));
+    }
+
+    /// JSON-shaped text: structural tokens, escapes, numbers at the edges of
+    /// their types, keywords and stray bytes, concatenated at random.
+    fn json_ish() -> impl Strategy<Value = String> {
+        const TOKENS: [&str; 24] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            ",",
+            ":",
+            "\"",
+            "\\",
+            "\\u",
+            "\\ud800",
+            "00e9",
+            "1",
+            "-",
+            "0.5",
+            "1e400",
+            "18446744073709551616",
+            "-9223372036854775809",
+            "true",
+            "nul",
+            "null",
+            " ",
+            "\n",
+            "é",
+            "🦀",
+        ];
+        prop::collection::vec(
+            prop_oneof![
+                (0usize..TOKENS.len()).prop_map(|i| TOKENS[i].to_string()),
+                any::<u8>().prop_map(|b| char::from(b).to_string()),
+            ],
+            0..48,
+        )
+        .prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        /// Arbitrary text returns `Ok` or `Err` from the parser, never a panic.
+        #[test]
+        fn parse_never_panics(text in json_ish()) {
+            let _ = Json::parse(&text);
+        }
     }
 }

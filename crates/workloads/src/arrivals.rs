@@ -155,15 +155,10 @@ impl ArrivalProcess {
                 // Bursts of `burst` arrive together; gaps are exponential
                 // with mean `burst / rate`, preserving the long-run rate.
                 let gap_rate = rate_rps / burst as f64;
-                'outer: loop {
+                while out.len() < n {
                     t += exponential(&mut rng, gap_rate);
-                    let at = to_cycles(t);
-                    for _ in 0..burst {
-                        out.push(at);
-                        if out.len() == n {
-                            break 'outer;
-                        }
-                    }
+                    let take = ((n - out.len()) as u64).min(burst) as usize;
+                    out.extend(std::iter::repeat_n(to_cycles(t), take));
                 }
             }
             ArrivalProcess::Diurnal { rate_rps, amplitude } => {
@@ -173,7 +168,10 @@ impl ArrivalProcess {
                     t += exponential(&mut rng, peak);
                     let phase = (t / DIURNAL_PERIOD_S) * std::f64::consts::TAU;
                     let lambda = rate_rps * (1.0 + amplitude * phase.sin());
-                    if uniform(&mut rng) < lambda / peak {
+                    // Past the edge of `f64` (`t` or the peak rate infinite)
+                    // the thinning ratio is NaN or 0: take every candidate,
+                    // so the schedule still ends.
+                    if !(t.is_finite() && peak.is_finite()) || uniform(&mut rng) < lambda / peak {
                         out.push(to_cycles(t));
                     }
                 }
@@ -200,6 +198,7 @@ fn to_cycles(seconds: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_round_trips_every_shape() {
@@ -255,6 +254,19 @@ mod tests {
     }
 
     #[test]
+    fn every_shape_yields_exactly_n_sorted_arrivals() {
+        const BURST: usize = 8;
+        for spec in ["poisson:1000", "bursty:1000:8", "diurnal:1000:0.8"] {
+            let p = ArrivalProcess::parse(spec).unwrap();
+            for n in [0, 1, BURST, BURST + 1] {
+                let sched = p.schedule(n, 42);
+                assert_eq!(sched.len(), n, "{spec} with n = {n}");
+                assert!(sched.windows(2).all(|w| w[0] <= w[1]), "{spec} with n = {n}");
+            }
+        }
+    }
+
+    #[test]
     fn bursty_schedules_arrive_in_bursts() {
         let p = ArrivalProcess::Bursty { rate_rps: 1000.0, burst: 8 };
         let sched = p.schedule(64, 9);
@@ -262,5 +274,43 @@ mod tests {
         let mut stamps = sched.clone();
         stamps.dedup();
         assert_eq!(stamps.len(), 8);
+    }
+
+    /// Spec-shaped strings: a shape (or junk), a rate drawn across the whole
+    /// `f64` exponent range, and an optional third field.
+    fn spec_strategy() -> impl Strategy<Value = String> {
+        const SHAPES: [&str; 5] = ["poisson", "bursty", "diurnal", "", "weibull"];
+        const EXTRAS: [&str; 9] =
+            ["", ":8", ":1", ":0", ":0.5", ":1.5", ":x", ":1:2", ":18446744073709551615"];
+        (0usize..SHAPES.len(), any::<u64>(), -330i32..320, 0usize..EXTRAS.len(), any::<bool>())
+            .prop_map(|(shape, mantissa, exp, extra, sep)| {
+                let sep = if sep { ":" } else { "," };
+                format!("{}{sep}{}e{exp}{}", SHAPES[shape], mantissa % 100_000, EXTRAS[extra])
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Arbitrary text returns `Ok` or `Err` from the parser, never a panic.
+        #[test]
+        fn parse_never_panics_on_junk(junk in prop::collection::vec(any::<u8>(), 0..40)) {
+            let _ = ArrivalProcess::parse(&String::from_utf8_lossy(&junk));
+        }
+
+        /// Every spec that parses yields exactly `n` sorted arrivals, even at
+        /// rates at the edges of `f64`.
+        #[test]
+        fn parsed_specs_schedule_exactly_n_sorted_arrivals(
+            spec in spec_strategy(),
+            n in 0usize..=64,
+            seed in any::<u64>(),
+        ) {
+            if let Ok(p) = ArrivalProcess::parse(&spec) {
+                let sched = p.schedule(n, seed);
+                prop_assert_eq!(sched.len(), n);
+                prop_assert!(sched.windows(2).all(|w| w[0] <= w[1]), "{spec}: {sched:?}");
+            }
+        }
     }
 }
