@@ -19,6 +19,12 @@
 //! shift help                           usage plus the exit-code table
 //! ```
 //!
+//! Each command takes exactly the arguments shown for it. `--mode` belongs
+//! to `attacks`, `attack`, `spec`, `apache`, `serve` and `disasm` only. An
+//! unknown flag, a flag without its value, a value that does not parse, or
+//! any argument left over is a usage error (exit 1) that names the
+//! argument, and the command does not run.
+//!
 //! `serve` runs the fleet engine: the Apache guest is compiled once, then
 //! `--connections` connections of `--requests` requests each are served
 //! across a `--workers`-wide modelled fleet (default: one instance per host
@@ -101,10 +107,13 @@
 //! | 14   | replay diverged from the recorded outcome (or wrong image) |
 //! | 15   | a shrunk reproducer was produced and written |
 
+use std::fmt::Display;
 use std::process::ExitCode as ProcessExit;
+use std::str::FromStr;
 
+use shift_core::replay::{mode_from_key, mode_key};
 use shift_core::{CompileError, Exit, Granularity, Mode, Shift, ShiftOptions};
-use shift_workloads::{run_spec, Scale};
+use shift_workloads::{run_spec, ArrivalProcess, Scale};
 
 /// Every process exit code `shift` can return, in one place.
 ///
@@ -192,6 +201,10 @@ impl From<ExitCode> for ProcessExit {
     }
 }
 
+/// A command's outcome. `Err` carries the exit code of a failure already
+/// reported on stderr, so a command can stop early with `?`.
+type CmdResult = Result<ExitCode, ExitCode>;
+
 /// Maps a guest [`Exit`] to its [`ExitCode`].
 fn exit_code_for(exit: &Exit) -> ExitCode {
     match exit {
@@ -208,99 +221,108 @@ fn exit_code_for(exit: &Exit) -> ExitCode {
     }
 }
 
+/// Reports `msg` on stderr and yields `code`.
+fn fail(code: ExitCode, msg: impl Display) -> ExitCode {
+    eprintln!("{msg}");
+    code
+}
+
 /// Reports a compile failure and yields its dedicated exit code.
 fn compile_failed(e: &CompileError) -> ExitCode {
-    eprintln!("compile error: {e}");
-    ExitCode::Compile
+    fail(ExitCode::Compile, format_args!("compile error: {e}"))
 }
 
-fn parse_mode(name: &str) -> Option<Mode> {
-    Some(match name {
-        "plain" | "uninstrumented" => Mode::Uninstrumented,
-        "byte" => Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-        "word" => Mode::Shift(ShiftOptions::baseline(Granularity::Word)),
-        "byte-enhanced" => Mode::Shift(ShiftOptions::enhanced(Granularity::Byte)),
-        "word-enhanced" => Mode::Shift(ShiftOptions::enhanced(Granularity::Word)),
-        "shadow-byte" => Mode::Shadow(Granularity::Byte),
-        "shadow-word" => Mode::Shadow(Granularity::Word),
-        _ => return None,
-    })
-}
-
-/// Pulls `--mode <m>` out of the argument list (default: byte-level SHIFT).
+/// Pulls `--mode <key>` out of the argument list (default: byte-level
+/// SHIFT). Keys are [`mode_key`]'s, parsed by [`mode_from_key`].
 fn take_mode(args: &mut Vec<String>) -> Result<Mode, String> {
-    if let Some(i) = args.iter().position(|a| a == "--mode") {
-        if i + 1 >= args.len() {
-            return Err("--mode needs a value".into());
+    match take_opt::<String>(args, "--mode")? {
+        Some(key) => {
+            mode_from_key(&key).ok_or_else(|| format!("unknown mode `{key}` (try `shift modes`)"))
         }
-        let name = args.remove(i + 1);
-        args.remove(i);
-        parse_mode(&name).ok_or_else(|| format!("unknown mode `{name}` (try `shift modes`)"))
-    } else {
-        Ok(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
+        None => Ok(Mode::Shift(ShiftOptions::baseline(Granularity::Byte))),
     }
 }
 
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
+    args.iter().position(|a| a == flag).map(|i| args.remove(i)).is_some()
 }
 
-/// Pulls `--flag <value>` out of the argument list. `Ok(None)` when the
-/// flag is absent; `Err` when it is present without a value.
-fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+/// Pulls `--flag <value>` out of the argument list and parses the value.
+/// `Ok(None)` when the flag is absent; `Err` when it has no value (the end
+/// of the line or another `--flag` follows it) or the value does not parse.
+fn take_opt<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
-    if i + 1 >= args.len() {
+    if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
         return Err(format!("{flag} needs a value"));
     }
     let value = args.remove(i + 1);
     args.remove(i);
-    Ok(Some(value))
+    value.parse().map(Some).map_err(|e| format!("bad {flag} `{value}`: {e}"))
+}
+
+/// Pulls the first positional argument (one not starting with `--`) out of
+/// the argument list and parses it. Take a command's flags first, so their
+/// values are not mistaken for positionals.
+fn take_arg<T: FromStr>(args: &mut Vec<String>, what: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let Some(i) = args.iter().position(|a| !a.starts_with("--")) else {
+        return Err(format!("missing <{what}>\n{USAGE}"));
+    };
+    let value = args.remove(i);
+    value.parse().map_err(|e| format!("bad <{what}> `{value}`: {e}"))
+}
+
+/// Rejects whatever a command left unread: a misspelled flag must not run
+/// the command with its defaults.
+fn finish(args: &[String]) -> Result<(), String> {
+    args.first().map_or(Ok(()), |a| Err(format!("unexpected argument `{a}` (see `shift help`)")))
 }
 
 /// Writes an observability artifact, mapping I/O failure to a usage-style
 /// error exit.
 fn write_artifact(path: &str, what: &str, content: &str) -> Result<(), ExitCode> {
-    std::fs::write(path, content).map_err(|e| {
-        eprintln!("cannot write {what} to {path}: {e}");
-        ExitCode::Usage
-    })
+    std::fs::write(path, content)
+        .map_err(|e| fail(ExitCode::Usage, format_args!("cannot write {what} to {path}: {e}")))
 }
 
+/// A mode's display name (`plain`, `shift/byte-enhanced`, `shadow/word`),
+/// derived from its [`mode_key`].
 fn mode_name(mode: Mode) -> String {
+    let key = mode_key(mode);
     match mode {
-        Mode::Uninstrumented => "plain".into(),
-        Mode::Shift(o) => format!(
-            "shift/{}{}",
-            o.granularity,
-            if o.set_clr || o.nat_cmp { "-enhanced" } else { "" }
-        ),
-        Mode::Shadow(g) => format!("shadow/{g}"),
+        Mode::Uninstrumented => key.into(),
+        Mode::Shift(_) => format!("shift/{key}"),
+        Mode::Shadow(_) => key.replacen('-', "/", 1),
     }
 }
 
-fn cmd_modes() {
+/// Every mode key `shift modes` lists, with what the mode compiles.
+const MODES: [(&str, &str); 7] = [
+    ("plain", "no taint tracking (the experiments' baseline)"),
+    ("byte", "SHIFT, byte-level tags, stock Itanium (default)"),
+    ("word", "SHIFT, word-level tags, stock Itanium"),
+    ("byte-enhanced", "SHIFT, byte-level, with tset/tclr + cmp.nat"),
+    ("word-enhanced", "SHIFT, word-level, with tset/tclr + cmp.nat"),
+    ("shadow-byte", "software-only shadow-register tracking (the ablation)"),
+    ("shadow-word", "software-only, word-level tags"),
+];
+
+fn cmd_modes() -> ExitCode {
     println!("compilation modes:");
-    for (name, what) in [
-        ("plain", "no taint tracking (the experiments' baseline)"),
-        ("byte", "SHIFT, byte-level tags, stock Itanium (default)"),
-        ("word", "SHIFT, word-level tags, stock Itanium"),
-        ("byte-enhanced", "SHIFT, byte-level, with tset/tclr + cmp.nat"),
-        ("word-enhanced", "SHIFT, word-level, with tset/tclr + cmp.nat"),
-        ("shadow-byte", "software-only shadow-register tracking (the ablation)"),
-        ("shadow-word", "software-only, word-level tags"),
-    ] {
-        println!("  {name:<14} {what}");
+    for (key, what) in MODES {
+        println!("  {key:<14} {what}");
     }
+    ExitCode::Success
 }
 
-fn cmd_attacks(mode: Mode, trace_taint: bool, metrics: Option<String>) -> ExitCode {
+fn cmd_attacks(mode: Mode, trace_taint: bool, metrics: Option<String>) -> CmdResult {
     println!("{:<22} {:<24} {:>10} {:>8}", "program", "attack", "verdict", "benign");
     let mut all_ok = true;
     let mut merged = shift_core::Registry::new();
@@ -310,14 +332,8 @@ fn cmd_attacks(mode: Mode, trace_taint: bool, metrics: Option<String>) -> ExitCo
         if trace_taint || metrics.is_some() {
             shift = shift.with_taint_trace();
         }
-        let hit = match shift.run(&app, (atk.exploit)()) {
-            Ok(r) => r,
-            Err(e) => return compile_failed(&e),
-        };
-        let benign = match shift.run(&app, (atk.benign)()) {
-            Ok(r) => r,
-            Err(e) => return compile_failed(&e),
-        };
+        let hit = shift.run(&app, (atk.exploit)()).map_err(|e| compile_failed(&e))?;
+        let benign = shift.run(&app, (atk.benign)()).map_err(|e| compile_failed(&e))?;
         let verdict = match (mode, hit.exit.is_detection()) {
             (Mode::Uninstrumented, false) => "unseen".to_string(),
             (_, true) => hit
@@ -347,16 +363,10 @@ fn cmd_attacks(mode: Mode, trace_taint: bool, metrics: Option<String>) -> ExitCo
         }
     }
     if let Some(path) = metrics {
-        if let Err(code) = write_artifact(&path, "metrics", &merged.to_json().render()) {
-            return code;
-        }
+        write_artifact(&path, "metrics", &merged.to_json().render())?;
         println!("metrics written to {path}");
     }
-    if all_ok {
-        ExitCode::Success
-    } else {
-        ExitCode::Usage
-    }
+    Ok(if all_ok { ExitCode::Success } else { ExitCode::Usage })
 }
 
 /// Observability options for `shift attack`.
@@ -370,7 +380,7 @@ struct AttackOpts {
     profile: Option<String>,
 }
 
-fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
+fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> CmdResult {
     let Some(atk) = shift_attacks::all_attacks()
         .into_iter()
         .find(|a| a.program.to_lowercase().contains(&name.to_lowercase()))
@@ -379,7 +389,7 @@ fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
         for a in shift_attacks::all_attacks() {
             eprintln!("  {}", a.program);
         }
-        return ExitCode::Usage;
+        return Err(ExitCode::Usage);
     };
     let app = (atk.build)();
     let world = if opts.benign { (atk.benign)() } else { (atk.exploit)() };
@@ -392,36 +402,25 @@ fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
     }
     let report = if let Some(depth) = opts.trace_depth {
         // Drive the machine by hand so the last instructions before the
-        // detection are visible.
-        use shift_core::{FuncSpan, Runtime, TaintConfig};
-        let compiled = match shift.compile(&app) {
-            Ok(c) => c,
-            Err(e) => return compile_failed(&e),
-        };
+        // detection are visible; runtime and budget are the session's.
+        let compiled = shift.compile(&app).map_err(|e| compile_failed(&e))?;
         let mut machine = shift_machine::Machine::new(&compiled.image);
         machine.enable_trace(depth);
         if opts.trace_taint {
             machine.enable_taint_observer();
         }
         if opts.profile.is_some() {
-            let funcs = compiled
-                .func_ranges
-                .iter()
-                .map(|(n, &(start, end))| FuncSpan { name: n.clone(), start, end })
-                .collect();
-            machine.enable_profiler(funcs);
+            machine.enable_profiler(compiled.func_spans());
         }
-        let mut rt = Runtime::new(TaintConfig::default_secure(), world, shift.granularity());
-        let exit = machine.run(&mut rt, 500_000_000);
+        let mut rt = shift_core::Runtime::new(shift.config().clone(), world, shift.granularity())
+            .with_io(shift.io());
+        let exit = machine.run(&mut rt, shift.insn_limit());
         println!("last instructions before the end of the run:");
         print!("{}", machine.trace_listing());
         println!();
         shift_core::RunReport { exit, stats: machine.stats.clone(), runtime: rt, machine }
     } else {
-        match shift.run(&app, world) {
-            Ok(r) => r,
-            Err(e) => return compile_failed(&e),
-        }
+        shift.run(&app, world).map_err(|e| compile_failed(&e))?
     };
     println!("program : {} ({})", atk.program, atk.cve);
     println!("mode    : {}", mode_name(mode));
@@ -443,26 +442,22 @@ fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
     );
     if let Some(path) = &opts.metrics {
         let reg = shift_core::metrics::run_metrics(&report);
-        if let Err(code) = write_artifact(path, "metrics", &reg.to_json().render()) {
-            return code;
-        }
+        write_artifact(path, "metrics", &reg.to_json().render())?;
         println!("metrics : written to {path}");
     }
     if let Some(path) = &opts.profile {
-        let Some(prof) = report.machine.profiler() else {
-            eprintln!("profiler was not armed");
-            return ExitCode::Usage;
-        };
-        if let Err(code) = write_artifact(path, "profile", &prof.folded()) {
-            return code;
-        }
+        let prof = report
+            .machine
+            .profiler()
+            .ok_or_else(|| fail(ExitCode::Usage, "profiler was not armed"))?;
+        write_artifact(path, "profile", &prof.folded())?;
         println!("profile : folded stacks written to {path}");
         println!("hottest blocks:");
         for (ip, func, cycles) in prof.hot_blocks(5) {
             println!("  ip {ip:>6}  {func:<20} {cycles:>12} cycles");
         }
     }
-    exit_code_for(&report.exit)
+    Ok(exit_code_for(&report.exit))
 }
 
 /// Runs the headline experiments (Figure-7 SPEC geomeans, Figure-6 Apache
@@ -471,7 +466,7 @@ fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
 /// host sweep pool (0 = one thread per core); the modelled results are
 /// identical at any setting. `seed` is stamped into the summary so a run
 /// can be tied back to the randomized schedules it drove.
-fn cmd_bench(json: bool, scale: Scale, workers: usize, seed: u64) -> ExitCode {
+fn cmd_bench(json: bool, scale: Scale, workers: usize, seed: u64) -> CmdResult {
     let (sizes, requests): (&[usize], usize) = match scale {
         Scale::Test => (&[1 << 10, 8 << 10], 6),
         Scale::Reference => (&[1 << 10, 10 << 10, 100 << 10], 50),
@@ -482,9 +477,7 @@ fn cmd_bench(json: bool, scale: Scale, workers: usize, seed: u64) -> ExitCode {
     let host = started.elapsed();
     let text = summary.render();
     if json {
-        if let Err(code) = write_artifact("BENCH_shift.json", "bench summary", &text) {
-            return code;
-        }
+        write_artifact("BENCH_shift.json", "bench summary", &text)?;
         println!(
             "bench summary written to BENCH_shift.json ({:.2}s host time)",
             host.as_secs_f64()
@@ -492,10 +485,10 @@ fn cmd_bench(json: bool, scale: Scale, workers: usize, seed: u64) -> ExitCode {
     } else {
         print!("{text}");
     }
-    ExitCode::Success
+    Ok(ExitCode::Success)
 }
 
-fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> ExitCode {
+fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> CmdResult {
     let benches = shift_workloads::all_benches();
     let selected: Vec<_> = if name == "all" {
         benches
@@ -503,10 +496,12 @@ fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> ExitCode {
         benches.into_iter().filter(|b| b.name == name).collect()
     };
     if selected.is_empty() {
-        eprintln!(
-            "no benchmark `{name}`; try: all, gzip, gcc, crafty, bzip2, vpr, mcf, parser, twolf"
-        );
-        return ExitCode::Usage;
+        return Err(fail(
+            ExitCode::Usage,
+            format_args!(
+                "no benchmark `{name}`; try: all, gzip, gcc, crafty, bzip2, vpr, mcf, parser, twolf"
+            ),
+        ));
     }
     println!("{:<10} {:>14} {:>14} {:>10}", "bench", "cycles", "instructions", "slowdown");
     for bench in selected {
@@ -520,7 +515,7 @@ fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> ExitCode {
             run.stats.cycles as f64 / base.stats.cycles as f64
         );
     }
-    ExitCode::Success
+    Ok(ExitCode::Success)
 }
 
 fn cmd_apache(size_kb: usize, requests: usize, mode: Mode) -> ExitCode {
@@ -538,6 +533,11 @@ fn cmd_apache(size_kb: usize, requests: usize, mode: Mode) -> ExitCode {
     ExitCode::Success
 }
 
+/// The host's core count: the default host pool width.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 /// `shift serve` options, after mode extraction.
 struct ServeOpts {
     workers: usize,
@@ -547,7 +547,7 @@ struct ServeOpts {
     json: Option<String>,
     /// Master seed for randomized schedules (default: `SHIFT_SEED` env or
     /// the built-in default).
-    seed: Option<u64>,
+    seed: u64,
     /// Arm a randomized chaos injection schedule derived from the seed.
     inject: bool,
     /// Write a replay log of the run here.
@@ -561,10 +561,9 @@ struct ServeOpts {
     /// Snapshot serving counters every N modelled cycles (arms the
     /// recorder; the samples land in the trace file's `timeseries`).
     sample_cycles: Option<u64>,
-    /// Open-loop arrival-process spec (`poisson:RATE`, `bursty:RATE[:B]`,
-    /// `diurnal:RATE[:A]`). `Some` switches serving to the event-driven
-    /// scheduler.
-    arrivals: Option<String>,
+    /// Open-loop arrival process; `Some` switches serving to the
+    /// event-driven scheduler.
+    arrivals: Option<ArrivalProcess>,
     /// Accept-queue bound for open-loop admission control.
     accept_cap: usize,
     /// Resident-guest cap for the open-loop scheduler.
@@ -573,7 +572,7 @@ struct ServeOpts {
     quantum: u64,
     /// Host simulation pool for open-loop phase 1 (default: one thread per
     /// core). Modelled results are bit-identical at any setting.
-    host_workers: Option<usize>,
+    host_workers: usize,
 }
 
 impl ServeOpts {
@@ -585,68 +584,83 @@ impl ServeOpts {
 
 /// Parses `shift serve`'s options (after mode extraction).
 fn parse_serve_opts(args: &mut Vec<String>) -> Result<ServeOpts, String> {
-    let take_num = |args: &mut Vec<String>, flag: &str, default: usize| match take_opt(args, flag)?
-    {
-        Some(n) => n.parse().map_err(|_| format!("bad {flag} `{n}`")),
-        None => Ok(default),
-    };
-    let arrivals = take_opt(args, "--arrivals")?;
-    // Closed-loop `--workers` is the modelled fleet width and
-    // defaults to one instance per host core; open-loop workers
-    // are the event scheduler's modelled cores and default to
-    // the paper-scale width of 8.
-    let default_workers = if arrivals.is_some() {
-        8
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    };
+    let arrivals: Option<ArrivalProcess> = take_opt(args, "--arrivals")?;
+    // Closed-loop `--workers` is the modelled fleet width and defaults to
+    // one instance per host core; open-loop workers are the event
+    // scheduler's modelled cores and default to the paper-scale width of 8.
+    let default_workers = if arrivals.is_some() { 8 } else { host_cores() };
+    let workers = take_opt(args, "--workers")?.unwrap_or(default_workers);
+    if workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
     Ok(ServeOpts {
-        workers: match take_num(args, "--workers", default_workers)? {
-            0 => return Err("--workers must be at least 1".into()),
-            n => n,
-        },
-        connections: take_num(args, "--connections", 8)?,
-        requests: take_num(args, "--requests", 4)?,
-        size_kb: take_opt(args, "--size-kb")?
-            .map(|n| n.parse().map_err(|_| format!("bad --size-kb `{n}`")))
-            .transpose()?,
+        workers,
+        connections: take_opt(args, "--connections")?.unwrap_or(8),
+        requests: take_opt(args, "--requests")?.unwrap_or(4),
+        size_kb: take_opt(args, "--size-kb")?,
         json: take_opt(args, "--json")?,
-        seed: take_opt(args, "--seed")?
-            .map(|n| n.parse().map_err(|_| format!("bad --seed `{n}`")))
-            .transpose()?,
+        seed: take_opt(args, "--seed")?.unwrap_or_else(shift_workloads::master_seed),
         inject: take_flag(args, "--inject"),
         record: take_opt(args, "--record")?,
         trace_out: take_opt(args, "--trace-out")?,
         prom_out: take_opt(args, "--prom-out")?,
-        sample_cycles: take_opt(args, "--sample-cycles")?
-            .map(|n| n.parse().map_err(|_| format!("bad --sample-cycles `{n}`")))
-            .transpose()?,
+        sample_cycles: take_opt(args, "--sample-cycles")?,
         arrivals,
-        accept_cap: take_num(args, "--accept-cap", 1024)?,
-        max_resident: take_num(args, "--max-resident", 256)?,
-        quantum: match take_opt(args, "--quantum")? {
-            Some(n) => n.parse().map_err(|_| format!("bad --quantum `{n}`"))?,
-            None => 100_000,
-        },
-        host_workers: take_opt(args, "--host-workers")?
-            .map(|n| n.parse().map_err(|_| format!("bad --host-workers `{n}`")))
-            .transpose()?,
+        accept_cap: take_opt(args, "--accept-cap")?.unwrap_or(1024),
+        max_resident: take_opt(args, "--max-resident")?.unwrap_or(256),
+        quantum: take_opt(args, "--quantum")?.unwrap_or(100_000),
+        host_workers: take_opt(args, "--host-workers")?.unwrap_or_else(host_cores),
     })
 }
 
-/// Serves a deterministic Apache request stream across a modelled fleet:
-/// one compile, `connections` fresh instances, `workers`-wide scheduling.
-/// Succeeds when every connection ran to a halt (served responses — 200s
-/// and 404s alike — are successes); otherwise exits with the first
-/// non-halt's code.
-fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
-    use shift_core::Injection;
+/// One serve run as the report sees it: the counters both schedulers
+/// share, plus the report lines and JSON keys only one of them has.
+struct ServeRun {
+    /// Scheduler lines before the shared `image` line.
+    head: String,
+    /// Scheduler lines between the `image` and `requests` lines.
+    mid: String,
+    /// Scheduler lines after the `requests` line.
+    tail: String,
+    /// Appended to the `host` line.
+    host_note: String,
+    /// Appended inside the `record` line's parentheses.
+    record_note: String,
+    /// JSON keys after `seed`, and between `requests_per_sec` and
+    /// `violations`.
+    json_head: Vec<(&'static str, shift_obs::Json)>,
+    json_tail: Vec<(&'static str, shift_obs::Json)>,
+    /// The replay log, when `--record` asked for one.
+    log: Option<shift_core::ReplayLog>,
+    /// Merged events, samples and ring drops, when `--trace-out` asked.
+    trace: Option<(Vec<shift_core::TraceEvent>, Vec<shift_core::Sample>, u64)>,
+    /// The first connection that did not halt, in connection order.
+    failed: Option<Exit>,
+    requests: u64,
+    served: u64,
+    recovered: u64,
+    dropped: u64,
+    wall_cycles: u64,
+    requests_per_sec: f64,
+    violations: usize,
+    host_ns: u64,
+    registry: shift_core::Registry,
+}
+
+/// Serves a deterministic Apache request stream: one compile, then
+/// `connections` fresh instances scheduled closed-loop over a
+/// `workers`-wide fleet or, with `--arrivals`, open-loop by the
+/// event-driven scheduler ([`shift_core::Fleet::serve_open_loop`]), which
+/// adds tail latency, saturation and admission-control lines. Succeeds when
+/// every connection that ran reached a halt (served responses — 200s and
+/// 404s alike — are successes, and shedding is admission control doing its
+/// job); otherwise exits with the first non-halt's code.
+fn cmd_serve(mode: Mode, opts: ServeOpts) -> CmdResult {
+    use shift_core::{Injection, OpenLoopConfig, ReplayLog};
+    use shift_obs::Json;
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     use shift_workloads::chaos;
-    let stream = match opts.size_kb {
-        Some(kb) => ApacheStream::Uniform(kb << 10),
-        None => ApacheStream::Mixed,
-    };
+    let stream = opts.size_kb.map_or(ApacheStream::Mixed, |kb| ApacheStream::Uniform(kb << 10));
     let mut fleet = apache_fleet(mode);
     if opts.recording() {
         // Zero-perturbation by construction (DESIGN.md §14): arming changes
@@ -657,7 +671,7 @@ fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
         });
     }
     let conns = fleet_connections(stream, opts.connections, opts.requests);
-    let seed = opts.seed.unwrap_or_else(chaos::master_seed);
+    let seed = opts.seed;
     let faults: Vec<Vec<(u64, Injection)>> = if opts.inject {
         let mut rng = chaos::Rng::new(chaos::derive(seed, "serve-inject"));
         (0..conns.len())
@@ -666,294 +680,221 @@ fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
     } else {
         Vec::new()
     };
+    let world = fleet_world(stream);
+    let not_halted = |e: &&Exit| !matches!(e, Exit::Halted(_));
     // Recording is assembled *after* the run from its inputs and report, so
     // the serving path is identical with and without --record.
-    let world = fleet_world(stream);
-    if let Some(spec) = opts.arrivals.clone() {
-        return cmd_serve_open_loop(mode, &opts, &fleet, &conns, &faults, &world, seed, &spec);
-    }
-    let report = fleet.serve_chaos(&world, &conns, &faults, opts.workers);
+    let run = match &opts.arrivals {
+        None => {
+            let r = fleet.serve_chaos(&world, &conns, &faults, opts.workers);
+            ServeRun {
+                head: format!(
+                    "fleet      : {} instances, {} connections x {} requests\n",
+                    r.workers,
+                    conns.len(),
+                    opts.requests
+                ),
+                mid: String::new(),
+                tail: format!(
+                    "throughput : {:.0} req/s modelled ({} wall cycles)\n\
+                     latency    : p50 {} / p99 {} cycles\n",
+                    r.requests_per_sec(),
+                    r.wall_cycles,
+                    r.latency_percentile(50.0).unwrap_or(0),
+                    r.latency_percentile(99.0).unwrap_or(0)
+                ),
+                host_note: String::new(),
+                record_note: String::new(),
+                json_head: vec![
+                    ("workers", Json::U64(r.workers as u64)),
+                    ("connections", Json::U64(conns.len() as u64)),
+                ],
+                json_tail: Vec::new(),
+                log: opts.record.as_ref().map(|_| {
+                    ReplayLog::capture("apache", &fleet, &world, &conns, &faults, seed, &r)
+                }),
+                trace: opts
+                    .trace_out
+                    .as_ref()
+                    .map(|_| (r.merged_trace_events(), r.merged_samples(), r.trace_dropped())),
+                failed: r.connections.iter().map(|c| &c.exit).find(not_halted).cloned(),
+                requests: r.requests,
+                served: r.served,
+                recovered: r.recovered,
+                dropped: r.dropped,
+                wall_cycles: r.wall_cycles,
+                requests_per_sec: r.requests_per_sec(),
+                violations: r.violations.len(),
+                host_ns: r.host_ns,
+                registry: r.registry,
+            }
+        }
+        Some(process) => {
+            let arrivals = process.schedule(conns.len(), chaos::derive(seed, "arrivals"));
+            let cfg = OpenLoopConfig {
+                workers: opts.workers,
+                accept_cap: opts.accept_cap,
+                max_resident: opts.max_resident,
+                quantum: opts.quantum,
+            };
+            let r =
+                fleet.serve_open_loop(&world, &conns, &faults, &arrivals, &cfg, opts.host_workers);
+            let spec = process.spec();
+            let sojourn = |p: f64| r.sojourn_percentile(p).unwrap_or(0);
+            ServeRun {
+                head: format!(
+                    "arrivals   : {spec} ({} connections offered)\n\
+                     fleet      : {} modelled workers, accept-cap {}, max-resident {}, quantum {}\n",
+                    r.offered, cfg.workers, cfg.accept_cap, cfg.max_resident, cfg.quantum
+                ),
+                mid: format!(
+                    "admission  : {} completed / {} shed of {} offered{}\n",
+                    r.completed,
+                    r.shed,
+                    r.offered,
+                    if r.saturated() { " — SATURATED" } else { "" }
+                ),
+                tail: format!(
+                    "sojourn    : p50 {} / p99 {} / p999 {} cycles (max {})\n\
+                     throughput : {:.0} req/s modelled, {:.1} conn/s \
+                     ({} wall cycles, {:.1}% utilization)\n\
+                     queue      : peak depth {} / peak resident {} guests\n\
+                     memory     : peak {} owned pages in any resident guest \
+                     ({} total over the run)\n",
+                    sojourn(50.0),
+                    sojourn(99.0),
+                    sojourn(99.9),
+                    r.sojourn_max().unwrap_or(0),
+                    r.requests_per_sec(),
+                    r.completions_per_sec(),
+                    r.wall_cycles,
+                    r.utilization() * 100.0,
+                    r.peak_queue_depth,
+                    r.peak_resident,
+                    r.peak_owned_pages,
+                    r.owned_pages_total
+                ),
+                host_note: format!(" ({} host workers)", opts.host_workers),
+                record_note: format!(", {} shed", r.shed),
+                json_head: vec![
+                    ("arrivals", Json::Str(spec.clone())),
+                    ("workers", Json::U64(cfg.workers as u64)),
+                    ("accept_cap", Json::U64(cfg.accept_cap as u64)),
+                    ("max_resident", Json::U64(cfg.max_resident as u64)),
+                    ("quantum", Json::U64(cfg.quantum)),
+                    ("offered", Json::U64(r.offered)),
+                    ("completed", Json::U64(r.completed)),
+                    ("shed", Json::U64(r.shed)),
+                    ("saturated", Json::Bool(r.saturated())),
+                ],
+                json_tail: vec![
+                    ("sojourn_p50", Json::U64(sojourn(50.0))),
+                    ("sojourn_p99", Json::U64(sojourn(99.0))),
+                    ("sojourn_p999", Json::U64(sojourn(99.9))),
+                    ("sojourn_max", Json::U64(r.sojourn_max().unwrap_or(0))),
+                    ("utilization", Json::F64(r.utilization())),
+                    ("peak_queue_depth", Json::U64(r.peak_queue_depth)),
+                    ("peak_resident", Json::U64(r.peak_resident)),
+                    ("peak_owned_pages", Json::U64(r.peak_owned_pages)),
+                ],
+                log: opts.record.as_ref().map(|_| {
+                    ReplayLog::capture_open_loop(
+                        "apache", &fleet, &world, &conns, &faults, seed, &spec, &arrivals, &r,
+                    )
+                }),
+                trace: opts
+                    .trace_out
+                    .as_ref()
+                    .map(|_| (r.merged_trace_events(), r.merged_samples(), r.trace_dropped())),
+                failed: r
+                    .connections
+                    .iter()
+                    .filter_map(|c| c.exit.as_ref())
+                    .find(not_halted)
+                    .cloned(),
+                requests: r.requests,
+                served: r.served,
+                recovered: r.recovered,
+                dropped: r.dropped,
+                wall_cycles: r.wall_cycles,
+                requests_per_sec: r.requests_per_sec(),
+                violations: r.violations.len(),
+                host_ns: r.host_ns,
+                registry: r.registry,
+            }
+        }
+    };
     println!("mode       : {}", mode_name(mode));
-    println!(
-        "fleet      : {} instances, {} connections x {} requests",
-        report.workers,
-        conns.len(),
-        opts.requests
-    );
+    print!("{}", run.head);
     println!(
         "image      : {} insns compiled once, {} pristine pages per spawn",
         fleet.image().insn_count(),
         fleet.image().resident_pages()
     );
+    print!("{}", run.mid);
     println!(
         "requests   : {} served / {} recovered / {} dropped of {} delivered",
-        report.served, report.recovered, report.dropped, report.requests
+        run.served, run.recovered, run.dropped, run.requests
     );
-    println!(
-        "throughput : {:.0} req/s modelled ({} wall cycles)",
-        report.requests_per_sec(),
-        report.wall_cycles
-    );
-    println!(
-        "latency    : p50 {} / p99 {} cycles",
-        report.latency_percentile(50.0).unwrap_or(0),
-        report.latency_percentile(99.0).unwrap_or(0)
-    );
-    if !report.violations.is_empty() {
-        println!("violations : {}", report.violations.len());
+    print!("{}", run.tail);
+    if run.violations > 0 {
+        println!("violations : {}", run.violations);
     }
     if opts.inject {
         let armed: usize = faults.iter().map(Vec::len).sum();
         println!("chaos      : {armed} injections armed (seed {seed})");
     }
-    println!("host       : {:.2} ms", report.host_ns as f64 / 1e6);
-    if let Some(path) = &opts.trace_out {
-        let events = report.merged_trace_events();
-        let samples = report.merged_samples();
-        let doc = shift_core::chrome_trace_json(&events, &samples);
-        if let Err(code) = write_artifact(path, "trace", &doc.render()) {
-            return code;
-        }
-        let dropped = report.trace_dropped();
+    println!("host       : {:.2} ms{}", run.host_ns as f64 / 1e6, run.host_note);
+    if let (Some(path), Some((events, samples, dropped))) = (&opts.trace_out, &run.trace) {
+        let doc = shift_core::chrome_trace_json(events, samples);
+        write_artifact(path, "trace", &doc.render())?;
         println!(
             "trace      : {} events / {} samples written to {path}{}",
             events.len(),
             samples.len(),
-            if dropped > 0 { format!(" ({dropped} dropped to ring caps)") } else { String::new() }
+            if *dropped > 0 { format!(" ({dropped} dropped to ring caps)") } else { String::new() }
         );
     }
     if let Some(path) = &opts.prom_out {
-        if let Err(code) =
-            write_artifact(path, "prometheus metrics", &report.registry.to_prometheus())
-        {
-            return code;
-        }
+        write_artifact(path, "prometheus metrics", &run.registry.to_prometheus())?;
         println!("metrics    : prometheus text written to {path}");
     }
-    if let Some(path) = &opts.record {
-        let log = shift_core::ReplayLog::capture(
-            "apache", &fleet, &world, &conns, &faults, seed, &report,
-        );
-        if let Err(code) = write_artifact(path, "replay log", &log.render()) {
-            return code;
-        }
-        println!("record     : replay log written to {path} ({} connections)", conns.len());
-    }
-    if let Some(path) = &opts.json {
-        use shift_obs::Json;
-        let mut pairs = vec![
-            ("schema_version", Json::U64(shift_obs::SCHEMA_VERSION)),
-            ("mode", Json::Str(mode_name(mode))),
-            ("seed", Json::U64(seed)),
-            ("workers", Json::U64(report.workers as u64)),
-            ("connections", Json::U64(conns.len() as u64)),
-            ("requests", Json::U64(report.requests)),
-            ("served", Json::U64(report.served)),
-            ("recovered", Json::U64(report.recovered)),
-            ("dropped", Json::U64(report.dropped)),
-            ("wall_cycles", Json::U64(report.wall_cycles)),
-            ("requests_per_sec", Json::F64(report.requests_per_sec())),
-            ("violations", Json::U64(report.violations.len() as u64)),
-            ("host_ns", Json::U64(report.host_ns)),
-            ("metrics", report.registry.to_json()),
-        ];
-        if let Some(record) = &opts.record {
-            pairs.push(("record_log", Json::Str(record.clone())));
-        }
-        let doc = Json::obj(pairs);
-        if let Err(code) = write_artifact(path, "fleet report", &doc.render()) {
-            return code;
-        }
-        println!("report     : written to {path}");
-    }
-    match report.exits().iter().find(|e| !matches!(e, Exit::Halted(_))) {
-        Some(exit) => exit_code_for(exit),
-        None => ExitCode::Success,
-    }
-}
-
-/// Serves the open-loop workload selected by `--arrivals`: synthesizes the
-/// arrival schedule from the spec and the seed, drives the event-driven
-/// scheduler ([`shift_core::Fleet::serve_open_loop`]), and reports tail
-/// latency, saturation, and admission-control outcomes. Exit-code rules
-/// match closed-loop serve; shedding alone is not a failure (it is the
-/// admission controller doing its job).
-#[allow(clippy::too_many_arguments)]
-fn cmd_serve_open_loop(
-    mode: Mode,
-    opts: &ServeOpts,
-    fleet: &shift_core::Fleet,
-    conns: &[Vec<Vec<u8>>],
-    faults: &shift_core::FaultPlan,
-    world: &shift_core::World,
-    seed: u64,
-    spec: &str,
-) -> ExitCode {
-    use shift_core::OpenLoopConfig;
-    use shift_workloads::{chaos, ArrivalProcess};
-    let process = match ArrivalProcess::parse(spec) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bad --arrivals `{spec}`: {e}");
-            return ExitCode::Usage;
-        }
-    };
-    let arrivals = process.schedule(conns.len(), chaos::derive(seed, "arrivals"));
-    let cfg = OpenLoopConfig {
-        workers: opts.workers,
-        accept_cap: opts.accept_cap,
-        max_resident: opts.max_resident,
-        quantum: opts.quantum,
-    };
-    let host = opts
-        .host_workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let report = fleet.serve_open_loop(world, conns, faults, &arrivals, &cfg, host);
-    println!("mode       : {}", mode_name(mode));
-    println!("arrivals   : {} ({} connections offered)", process.spec(), report.offered);
-    println!(
-        "fleet      : {} modelled workers, accept-cap {}, max-resident {}, quantum {}",
-        cfg.workers, cfg.accept_cap, cfg.max_resident, cfg.quantum
-    );
-    println!(
-        "image      : {} insns compiled once, {} pristine pages per spawn",
-        fleet.image().insn_count(),
-        fleet.image().resident_pages()
-    );
-    println!(
-        "admission  : {} completed / {} shed of {} offered{}",
-        report.completed,
-        report.shed,
-        report.offered,
-        if report.saturated() { " — SATURATED" } else { "" }
-    );
-    println!(
-        "requests   : {} served / {} recovered / {} dropped of {} delivered",
-        report.served, report.recovered, report.dropped, report.requests
-    );
-    println!(
-        "sojourn    : p50 {} / p99 {} / p999 {} cycles (max {})",
-        report.sojourn_percentile(50.0).unwrap_or(0),
-        report.sojourn_percentile(99.0).unwrap_or(0),
-        report.sojourn_percentile(99.9).unwrap_or(0),
-        report.sojourn_max().unwrap_or(0)
-    );
-    println!(
-        "throughput : {:.0} req/s modelled, {:.1} conn/s ({} wall cycles, {:.1}% utilization)",
-        report.requests_per_sec(),
-        report.completions_per_sec(),
-        report.wall_cycles,
-        report.utilization() * 100.0
-    );
-    println!(
-        "queue      : peak depth {} / peak resident {} guests",
-        report.peak_queue_depth, report.peak_resident
-    );
-    println!(
-        "memory     : peak {} owned pages in any resident guest ({} total over the run)",
-        report.peak_owned_pages, report.owned_pages_total
-    );
-    if !report.violations.is_empty() {
-        println!("violations : {}", report.violations.len());
-    }
-    if opts.inject {
-        let armed: usize = faults.iter().map(Vec::len).sum();
-        println!("chaos      : {armed} injections armed (seed {seed})");
-    }
-    println!("host       : {:.2} ms ({host} host workers)", report.host_ns as f64 / 1e6);
-    if let Some(path) = &opts.trace_out {
-        let events = report.merged_trace_events();
-        let samples = report.merged_samples();
-        let doc = shift_core::chrome_trace_json(&events, &samples);
-        if let Err(code) = write_artifact(path, "trace", &doc.render()) {
-            return code;
-        }
+    if let (Some(path), Some(log)) = (&opts.record, &run.log) {
+        write_artifact(path, "replay log", &log.render())?;
         println!(
-            "trace      : {} events / {} samples written to {path}",
-            events.len(),
-            samples.len()
-        );
-    }
-    if let Some(path) = &opts.prom_out {
-        if let Err(code) =
-            write_artifact(path, "prometheus metrics", &report.registry.to_prometheus())
-        {
-            return code;
-        }
-        println!("metrics    : prometheus text written to {path}");
-    }
-    if let Some(path) = &opts.record {
-        let log = shift_core::ReplayLog::capture_open_loop(
-            "apache",
-            fleet,
-            world,
-            conns,
-            faults,
-            seed,
-            &process.spec(),
-            &arrivals,
-            &report,
-        );
-        if let Err(code) = write_artifact(path, "replay log", &log.render()) {
-            return code;
-        }
-        println!(
-            "record     : replay log written to {path} ({} connections, {} shed)",
+            "record     : replay log written to {path} ({} connections{})",
             conns.len(),
-            report.shed
+            run.record_note
         );
     }
     if let Some(path) = &opts.json {
-        use shift_obs::Json;
         let mut pairs = vec![
             ("schema_version", Json::U64(shift_obs::SCHEMA_VERSION)),
             ("mode", Json::Str(mode_name(mode))),
             ("seed", Json::U64(seed)),
-            ("arrivals", Json::Str(process.spec())),
-            ("workers", Json::U64(cfg.workers as u64)),
-            ("accept_cap", Json::U64(cfg.accept_cap as u64)),
-            ("max_resident", Json::U64(cfg.max_resident as u64)),
-            ("quantum", Json::U64(cfg.quantum)),
-            ("offered", Json::U64(report.offered)),
-            ("completed", Json::U64(report.completed)),
-            ("shed", Json::U64(report.shed)),
-            ("saturated", Json::Bool(report.saturated())),
-            ("requests", Json::U64(report.requests)),
-            ("served", Json::U64(report.served)),
-            ("recovered", Json::U64(report.recovered)),
-            ("dropped", Json::U64(report.dropped)),
-            ("wall_cycles", Json::U64(report.wall_cycles)),
-            ("requests_per_sec", Json::F64(report.requests_per_sec())),
-            ("sojourn_p50", Json::U64(report.sojourn_percentile(50.0).unwrap_or(0))),
-            ("sojourn_p99", Json::U64(report.sojourn_percentile(99.0).unwrap_or(0))),
-            ("sojourn_p999", Json::U64(report.sojourn_percentile(99.9).unwrap_or(0))),
-            ("sojourn_max", Json::U64(report.sojourn_max().unwrap_or(0))),
-            ("utilization", Json::F64(report.utilization())),
-            ("peak_queue_depth", Json::U64(report.peak_queue_depth)),
-            ("peak_resident", Json::U64(report.peak_resident)),
-            ("peak_owned_pages", Json::U64(report.peak_owned_pages)),
-            ("violations", Json::U64(report.violations.len() as u64)),
-            ("host_ns", Json::U64(report.host_ns)),
-            ("metrics", report.registry.to_json()),
         ];
+        pairs.extend(run.json_head);
+        pairs.extend([
+            ("requests", Json::U64(run.requests)),
+            ("served", Json::U64(run.served)),
+            ("recovered", Json::U64(run.recovered)),
+            ("dropped", Json::U64(run.dropped)),
+            ("wall_cycles", Json::U64(run.wall_cycles)),
+            ("requests_per_sec", Json::F64(run.requests_per_sec)),
+        ]);
+        pairs.extend(run.json_tail);
+        pairs.extend([
+            ("violations", Json::U64(run.violations as u64)),
+            ("host_ns", Json::U64(run.host_ns)),
+            ("metrics", run.registry.to_json()),
+        ]);
         if let Some(record) = &opts.record {
             pairs.push(("record_log", Json::Str(record.clone())));
         }
-        let doc = Json::obj(pairs);
-        if let Err(code) = write_artifact(path, "open-loop report", &doc.render()) {
-            return code;
-        }
+        write_artifact(path, "serve report", &Json::obj(pairs).render())?;
         println!("report     : written to {path}");
     }
-    match report
-        .connections
-        .iter()
-        .filter_map(|c| c.exit.as_ref())
-        .find(|e| !matches!(e, Exit::Halted(_)))
-    {
-        Some(exit) => exit_code_for(exit),
-        None => ExitCode::Success,
-    }
+    Ok(run.failed.as_ref().map_or(ExitCode::Success, exit_code_for))
 }
 
 /// Parses a REPL address operand: `0x`-prefixed hex or plain decimal.
@@ -1110,39 +1051,24 @@ fn cmd_replay(
     connection: Option<usize>,
     debug: bool,
     shrink_out: Option<String>,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read replay log `{path}`: {e}");
-            return ExitCode::Usage;
-        }
-    };
-    let log = match shift_core::ReplayLog::parse(&text) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bad replay log `{path}`: {e}");
-            return ExitCode::Usage;
-        }
-    };
-    let Some(program) = shift_workloads::chaos::chaos_program(&log.program) else {
-        eprintln!("replay log names unknown program `{}`", log.program);
-        return ExitCode::Usage;
-    };
-    let fleet = match log.build_fleet(&program) {
-        Ok(f) => f,
-        Err(e) => {
-            // A digest mismatch means the rebuilt image differs from the
-            // recorded one — the log can no longer reproduce that run.
-            eprintln!("replay diverged: {e}");
-            return ExitCode::ReplayDiverged;
-        }
-    };
-    if let Some(c) = connection {
-        if c >= log.connections.len() {
-            eprintln!("log has {} connections; no connection {c}", log.connections.len());
-            return ExitCode::Usage;
-        }
+) -> CmdResult {
+    let usage = |msg: String| fail(ExitCode::Usage, msg);
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| usage(format!("cannot read replay log `{path}`: {e}")))?;
+    let log = shift_core::ReplayLog::parse(&text)
+        .map_err(|e| usage(format!("bad replay log `{path}`: {e}")))?;
+    let program = shift_workloads::chaos::chaos_program(&log.program)
+        .ok_or_else(|| usage(format!("replay log names unknown program `{}`", log.program)))?;
+    // A digest mismatch means the rebuilt image differs from the recorded
+    // one — the log can no longer reproduce that run.
+    let fleet = log
+        .build_fleet(&program)
+        .map_err(|e| fail(ExitCode::ReplayDiverged, format_args!("replay diverged: {e}")))?;
+    if let Some(c) = connection.filter(|&c| c >= log.connections.len()) {
+        return Err(usage(format!(
+            "log has {} connections; no connection {c}",
+            log.connections.len()
+        )));
     }
     println!("log        : {path}");
     println!("program    : {} ({})", log.program, mode_name(log.mode));
@@ -1154,21 +1080,21 @@ fn cmd_replay(
             ol.spec, ol.workers, ol.accept_cap, ol.max_resident, ol.quantum, ol.completed, ol.shed
         );
     }
+    let shed = |c: usize| log.expected.get(c).is_some_and(shift_core::replay::Expected::is_shed);
     if debug {
         let c = connection.unwrap_or(0);
-        if log.expected.get(c).is_some_and(shift_core::replay::Expected::is_shed) {
-            eprintln!("connection {c} was shed by admission control — it never ran");
-            return ExitCode::Usage;
+        if shed(c) {
+            return Err(usage(format!(
+                "connection {c} was shed by admission control — it never ran"
+            )));
         }
         let mut pm = shift_core::Postmortem::from_log(&log, &fleet, c);
-        return debug_repl(&mut pm, &log, c);
+        return Ok(debug_repl(&mut pm, &log, c));
     }
     if let Some(out) = shrink_out {
         let c = connection.unwrap_or(0);
         let shrunk = log.shrink(&fleet, c);
-        if let Err(code) = write_artifact(&out, "shrunk reproducer", &shrunk.log.render()) {
-            return code;
-        }
+        write_artifact(&out, "shrunk reproducer", &shrunk.log.render())?;
         println!(
             "shrunk     : connection {c} -> {} requests / {} injections \
              (-{} requests, -{} injections, {} probes)",
@@ -1179,7 +1105,7 @@ fn cmd_replay(
             shrunk.probes,
         );
         println!("reproduce  : shift replay {out}");
-        return ExitCode::Shrunk;
+        return Ok(ExitCode::Shrunk);
     }
     let targets: Vec<usize> = match connection {
         Some(c) => vec![c],
@@ -1187,7 +1113,7 @@ fn cmd_replay(
     };
     let mut diverged = false;
     for c in targets {
-        if log.expected.get(c).is_some_and(shift_core::replay::Expected::is_shed) {
+        if shed(c) {
             println!("connection {c:>2}: shed by admission control (not replayed)");
             continue;
         }
@@ -1207,15 +1133,13 @@ fn cmd_replay(
         }
     }
     if diverged {
-        eprintln!("replay diverged from the recorded run");
-        ExitCode::ReplayDiverged
-    } else {
-        println!("replay     : bit-identical");
-        ExitCode::Success
+        return Err(fail(ExitCode::ReplayDiverged, "replay diverged from the recorded run"));
     }
+    println!("replay     : bit-identical");
+    Ok(ExitCode::Success)
 }
 
-fn cmd_disasm(mode: Mode) -> ExitCode {
+fn cmd_disasm(mode: Mode) -> CmdResult {
     use shift_ir::ProgramBuilder;
     let mut pb = ProgramBuilder::new();
     let g = pb.global_zeroed("cell", 16);
@@ -1227,39 +1151,26 @@ fn cmd_disasm(mode: Mode) -> ExitCode {
         f.ret(Some(b));
     });
     let program = pb.build().unwrap();
-    let compiled = match shift_compiler::Compiler::new(mode).compile(&program) {
-        Ok(c) => c,
-        Err(e) => return compile_failed(&e),
-    };
+    let compiled =
+        shift_compiler::Compiler::new(mode).compile(&program).map_err(|e| compile_failed(&e))?;
     let (start, end) = compiled.func_ranges["main"];
     println!("mode: {} — one ld8 + one st1, instrumented:", mode_name(mode));
     println!("{}", shift_isa::disasm_listing(&compiled.image.code[start..end], start));
-    ExitCode::Success
+    Ok(ExitCode::Success)
 }
 
 /// Summarizes a Chrome `trace_event` JSON file written by
 /// `shift serve --trace-out`: a per-connection span table, the longest
 /// spans, and the recovery timeline (recoveries, violations, injections).
-fn cmd_trace(path: &str) -> ExitCode {
+fn cmd_trace(path: &str) -> CmdResult {
     use shift_core::Json;
     use std::collections::BTreeMap;
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read trace `{path}`: {e}");
-            return ExitCode::Usage;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bad trace `{path}`: {e}");
-            return ExitCode::Usage;
-        }
-    };
+    let usage = |msg: String| fail(ExitCode::Usage, msg);
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| usage(format!("cannot read trace `{path}`: {e}")))?;
+    let doc = Json::parse(&text).map_err(|e| usage(format!("bad trace `{path}`: {e}")))?;
     let Some(Json::Arr(raw)) = doc.get("traceEvents") else {
-        eprintln!("`{path}` has no traceEvents array — not a shift trace");
-        return ExitCode::Usage;
+        return Err(usage(format!("`{path}` has no traceEvents array — not a shift trace")));
     };
     // One decoded row per non-metadata event. `dur == 0` means an instant.
     struct Ev<'a> {
@@ -1272,7 +1183,7 @@ fn cmd_trace(path: &str) -> ExitCode {
     let events: Vec<Ev> = raw
         .iter()
         .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
-        .filter_map(|e| {
+        .map(|e| {
             Some(Ev {
                 name: e.get("name")?.as_str()?,
                 tid: e.get("tid")?.as_u64()?,
@@ -1281,13 +1192,8 @@ fn cmd_trace(path: &str) -> ExitCode {
                 args: e.get("args")?,
             })
         })
-        .collect();
-    if events.len()
-        != raw.iter().filter(|e| e.get("ph").and_then(Json::as_str) != Some("M")).count()
-    {
-        eprintln!("`{path}` has malformed trace events");
-        return ExitCode::Usage;
-    }
+        .collect::<Option<_>>()
+        .ok_or_else(|| usage(format!("`{path}` has malformed trace events")))?;
 
     #[derive(Default)]
     struct Row {
@@ -1363,7 +1269,7 @@ fn cmd_trace(path: &str) -> ExitCode {
             println!("timeseries : {} samples", series.len());
         }
     }
-    ExitCode::Success
+    Ok(ExitCode::Success)
 }
 
 const USAGE: &str = "usage:\n  \
@@ -1384,11 +1290,6 @@ const USAGE: &str = "usage:\n  \
      shift modes\n  \
      shift help";
 
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::Usage
-}
-
 /// `shift help`: the usage text plus the exit-code table, on stdout.
 fn cmd_help() -> ExitCode {
     println!("{USAGE}");
@@ -1398,155 +1299,89 @@ fn cmd_help() -> ExitCode {
 }
 
 fn main() -> ProcessExit {
-    run().into()
+    run(std::env::args().skip(1).collect()).unwrap_or_else(|e| fail(ExitCode::Usage, e)).into()
 }
 
-fn run() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+/// Reads the command line (without the program name) into one command and
+/// runs it. Every argument is read before the command starts: a usage
+/// error is returned as `Err` and nothing runs.
+fn run(mut args: Vec<String>) -> Result<ExitCode, String> {
     if args.is_empty() {
-        return usage();
+        return Err(USAGE.into());
     }
     let cmd = args.remove(0);
-    let mode = match take_mode(&mut args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::Usage;
+    let a = &mut args;
+    let take_scale = |a: &mut Vec<String>| {
+        if take_flag(a, "--reference") {
+            Scale::Reference
+        } else {
+            Scale::Test
         }
     };
-    match cmd.as_str() {
-        "modes" => {
-            cmd_modes();
-            ExitCode::Success
-        }
+    let job: Box<dyn FnOnce() -> CmdResult> = match cmd.as_str() {
+        "modes" => Box::new(|| Ok(cmd_modes())),
         "attacks" => {
-            let trace_taint = take_flag(&mut args, "--trace-taint");
-            let metrics = match take_opt(&mut args, "--metrics") {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            cmd_attacks(mode, trace_taint, metrics)
+            let mode = take_mode(a)?;
+            let trace_taint = take_flag(a, "--trace-taint");
+            let metrics = take_opt(a, "--metrics")?;
+            Box::new(move || cmd_attacks(mode, trace_taint, metrics))
         }
         "attack" => {
-            let benign = take_flag(&mut args, "--benign");
-            let trace = take_flag(&mut args, "--trace");
-            let parsed = (|| -> Result<AttackOpts, String> {
-                let trace_depth = match take_opt(&mut args, "--trace-depth")? {
-                    Some(n) => Some(n.parse().map_err(|_| format!("bad --trace-depth `{n}`"))?),
-                    // `--trace` alone keeps the historical 16-deep ring.
-                    None if trace => Some(16),
-                    None => None,
-                };
-                Ok(AttackOpts {
-                    benign,
-                    trace_depth,
-                    trace_taint: take_flag(&mut args, "--trace-taint"),
-                    metrics: take_opt(&mut args, "--metrics")?,
-                    profile: take_opt(&mut args, "--profile")?,
-                })
-            })();
-            let opts = match parsed {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
+            let mode = take_mode(a)?;
+            let trace = take_flag(a, "--trace");
+            let opts = AttackOpts {
+                benign: take_flag(a, "--benign"),
+                // `--trace` alone keeps the historical 16-deep ring.
+                trace_depth: take_opt(a, "--trace-depth")?.or(trace.then_some(16)),
+                trace_taint: take_flag(a, "--trace-taint"),
+                metrics: take_opt(a, "--metrics")?,
+                profile: take_opt(a, "--profile")?,
             };
-            match args.first() {
-                Some(name) => cmd_attack(name, mode, opts),
-                None => usage(),
-            }
+            let name: String = take_arg(a, "program")?;
+            Box::new(move || cmd_attack(&name, mode, opts))
         }
         "spec" => {
-            let scale =
-                if take_flag(&mut args, "--reference") { Scale::Reference } else { Scale::Test };
-            let tainted = !take_flag(&mut args, "--safe");
-            match args.first() {
-                Some(name) => cmd_spec(name, mode, scale, tainted),
-                None => usage(),
-            }
+            let mode = take_mode(a)?;
+            let (scale, tainted) = (take_scale(a), !take_flag(a, "--safe"));
+            let name: String = take_arg(a, "bench|all")?;
+            Box::new(move || cmd_spec(&name, mode, scale, tainted))
         }
         "apache" => {
-            let (Some(kb), Some(reqs)) = (args.first(), args.get(1)) else {
-                return usage();
-            };
-            match (kb.parse(), reqs.parse()) {
-                (Ok(kb), Ok(reqs)) => cmd_apache(kb, reqs, mode),
-                _ => usage(),
-            }
+            let mode = take_mode(a)?;
+            let (size_kb, requests) = (take_arg(a, "size-kb")?, take_arg(a, "requests")?);
+            Box::new(move || Ok(cmd_apache(size_kb, requests, mode)))
         }
-        "serve" => match parse_serve_opts(&mut args) {
-            Ok(opts) => cmd_serve(mode, opts),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::Usage
-            }
-        },
-        "bench" => {
-            let json = take_flag(&mut args, "--json");
-            let scale =
-                if take_flag(&mut args, "--reference") { Scale::Reference } else { Scale::Test };
-            let workers = match take_opt(&mut args, "--workers") {
-                Ok(Some(n)) => match n.parse() {
-                    Ok(w) => w,
-                    Err(_) => {
-                        eprintln!("bad --workers `{n}`");
-                        return ExitCode::Usage;
-                    }
-                },
-                Ok(None) => 0,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            let seed = match take_opt(&mut args, "--seed") {
-                Ok(Some(n)) => match n.parse() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        eprintln!("bad --seed `{n}`");
-                        return ExitCode::Usage;
-                    }
-                },
-                Ok(None) => shift_workloads::master_seed(),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            cmd_bench(json, scale, workers, seed)
+        "serve" => {
+            let mode = take_mode(a)?;
+            let opts = parse_serve_opts(a)?;
+            Box::new(move || cmd_serve(mode, opts))
+        }
+        "trace" => {
+            let path: String = take_arg(a, "file")?;
+            Box::new(move || cmd_trace(&path))
         }
         "replay" => {
-            let parsed = (|| -> Result<(bool, Option<String>, Option<usize>), String> {
-                let debug = take_flag(&mut args, "--debug");
-                let shrink = take_opt(&mut args, "--shrink")?;
-                let connection = take_opt(&mut args, "--connection")?
-                    .map(|n| n.parse().map_err(|_| format!("bad --connection `{n}`")))
-                    .transpose()?;
-                Ok((debug, shrink, connection))
-            })();
-            match parsed {
-                Ok((debug, shrink, connection)) => match args.first() {
-                    Some(path) => cmd_replay(path, connection, debug, shrink),
-                    None => usage(),
-                },
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::Usage
-                }
-            }
+            let debug = take_flag(a, "--debug");
+            let shrink = take_opt(a, "--shrink")?;
+            let connection = take_opt(a, "--connection")?;
+            let path: String = take_arg(a, "log")?;
+            Box::new(move || cmd_replay(&path, connection, debug, shrink))
         }
-        "trace" => match args.first() {
-            Some(path) => cmd_trace(path),
-            None => usage(),
-        },
-        "disasm" => cmd_disasm(mode),
-        "help" | "--help" | "-h" => cmd_help(),
-        _ => usage(),
-    }
+        "bench" => {
+            let (json, scale) = (take_flag(a, "--json"), take_scale(a));
+            let workers = take_opt(a, "--workers")?.unwrap_or(0);
+            let seed = take_opt(a, "--seed")?.unwrap_or_else(shift_workloads::master_seed);
+            Box::new(move || cmd_bench(json, scale, workers, seed))
+        }
+        "disasm" => {
+            let mode = take_mode(a)?;
+            Box::new(move || cmd_disasm(mode))
+        }
+        "help" | "--help" | "-h" => Box::new(|| Ok(cmd_help())),
+        _ => return Err(format!("unknown command `{cmd}`\n{USAGE}")),
+    };
+    finish(a)?;
+    Ok(job().unwrap_or_else(|code| code))
 }
 
 #[cfg(test)]
@@ -1557,20 +1392,23 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Asserts that each command line is a usage error whose message names
+    /// the given argument. A line that parsed would run its command, so
+    /// every line here must be one that never gets that far.
+    fn rejects(cases: &[(&[&str], &str)]) {
+        for (argv, culprit) in cases {
+            let err = run(args(argv)).expect_err(&format!("{argv:?} must be a usage error"));
+            assert!(err.contains(culprit), "{argv:?}: `{err}` does not name `{culprit}`");
+        }
+    }
+
     #[test]
     fn all_documented_modes_parse() {
-        for name in [
-            "plain",
-            "byte",
-            "word",
-            "byte-enhanced",
-            "word-enhanced",
-            "shadow-byte",
-            "shadow-word",
-        ] {
-            assert!(parse_mode(name).is_some(), "{name}");
+        for (key, _) in MODES {
+            let mode = mode_from_key(key).unwrap_or_else(|| panic!("{key} does not parse"));
+            assert_eq!(mode_key(mode), key, "{key} does not round-trip");
         }
-        assert!(parse_mode("turbo").is_none());
+        assert!(mode_from_key("turbo").is_none());
     }
 
     #[test]
@@ -1597,6 +1435,124 @@ mod tests {
         assert!(take_flag(&mut a, "--benign"));
         assert!(!take_flag(&mut a, "--benign"));
         assert_eq!(a, args(&["attack", "tar"]));
+    }
+
+    #[test]
+    fn take_opt_parses_typed_values() {
+        let mut a = args(&["--seed", "7", "--json", "out.json"]);
+        assert_eq!(take_opt::<u64>(&mut a, "--seed"), Ok(Some(7)));
+        assert_eq!(take_opt::<u64>(&mut a, "--workers"), Ok(None));
+        assert_eq!(take_opt::<String>(&mut a, "--json"), Ok(Some("out.json".into())));
+        assert!(a.is_empty());
+        let err = take_opt::<u64>(&mut args(&["--seed", "x"]), "--seed").unwrap_err();
+        assert!(err.starts_with("bad --seed `x`"), "{err}");
+    }
+
+    #[test]
+    fn unknown_commands_are_usage_errors() {
+        rejects(&[(&[], "usage:"), (&["atacks"], "atacks")]);
+    }
+
+    #[test]
+    fn attacks_rejects_stray_arguments() {
+        rejects(&[
+            (&["attacks", "--trace-tiant"], "--trace-tiant"),
+            (&["attacks", "--metrics"], "--metrics"),
+            (&["attacks", "qwikiwiki"], "qwikiwiki"),
+        ]);
+    }
+
+    #[test]
+    fn attack_rejects_stray_arguments() {
+        rejects(&[
+            (&["attack", "tar", "--bengin"], "--bengin"),
+            (&["attack", "tar", "--trace-depth"], "--trace-depth"),
+            (&["attack", "tar", "--trace-depth", "deep"], "--trace-depth"),
+            (&["attack", "tar", "bftpd"], "bftpd"),
+            (&["attack", "--benign"], "<program>"),
+        ]);
+    }
+
+    #[test]
+    fn spec_rejects_stray_arguments() {
+        rejects(&[
+            (&["spec", "gzip", "--refrence"], "--refrence"),
+            (&["spec", "gzip", "--mode"], "--mode"),
+            (&["spec", "gzip", "mcf"], "mcf"),
+        ]);
+    }
+
+    #[test]
+    fn apache_rejects_stray_arguments() {
+        rejects(&[
+            (&["apache", "16", "5", "--safe"], "--safe"),
+            (&["apache", "16", "5", "--mode"], "--mode"),
+            (&["apache", "16", "5", "7"], "`7`"),
+            (&["apache", "16k", "5"], "16k"),
+        ]);
+    }
+
+    #[test]
+    fn serve_rejects_stray_arguments() {
+        rejects(&[
+            (&["serve", "--wrokers", "3"], "--wrokers"),
+            (&["serve", "--connections", "2", "--wrokers", "3", "--jsno", "o.json"], "--wrokers"),
+            (&["serve", "--json"], "--json"),
+            (&["serve", "--seed", "--inject"], "--seed"),
+            (&["serve", "--arrivals", "poisson"], "--arrivals"),
+            (&["serve", "fleet"], "fleet"),
+        ]);
+    }
+
+    #[test]
+    fn trace_rejects_stray_arguments() {
+        rejects(&[
+            (&["trace", "t.json", "--summary"], "--summary"),
+            (&["trace", "t.json", "u.json"], "u.json"),
+            (&["trace", "t.json", "--mode", "byte"], "--mode"),
+        ]);
+    }
+
+    #[test]
+    fn replay_rejects_stray_arguments() {
+        rejects(&[
+            (&["replay", "tests/data/replay_fixture.json", "--debgu"], "--debgu"),
+            (&["replay", "log.json", "--shrink"], "--shrink"),
+            (&["replay", "log.json", "--connection", "one"], "--connection"),
+            (&["replay", "log.json", "other.json"], "other.json"),
+            (&["replay", "log.json", "--mode", "byte"], "--mode"),
+        ]);
+    }
+
+    #[test]
+    fn bench_rejects_stray_arguments() {
+        rejects(&[
+            (&["bench", "--jsn"], "--jsn"),
+            (&["bench", "--workers"], "--workers"),
+            (&["bench", "reference"], "reference"),
+            (&["bench", "--mode", "word"], "--mode"),
+        ]);
+    }
+
+    #[test]
+    fn disasm_rejects_stray_arguments() {
+        rejects(&[
+            (&["disasm", "--listing"], "--listing"),
+            (&["disasm", "--mode"], "--mode"),
+            (&["disasm", "word"], "word"),
+        ]);
+    }
+
+    #[test]
+    fn modes_and_help_reject_stray_arguments() {
+        rejects(&[
+            (&["modes", "--all"], "--all"),
+            (&["modes", "byte"], "byte"),
+            (&["modes", "--mode", "byte"], "--mode"),
+            (&["help", "--verbose"], "--verbose"),
+            (&["help", "serve"], "serve"),
+            (&["help", "--mode", "byte"], "--mode"),
+        ]);
     }
 
     #[test]
@@ -1668,15 +1624,10 @@ mod tests {
 
     #[test]
     fn mode_names_are_distinct() {
-        let names: Vec<String> = [
-            Mode::Uninstrumented,
-            Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-            Mode::Shift(ShiftOptions::enhanced(Granularity::Byte)),
-            Mode::Shadow(Granularity::Word),
-        ]
-        .into_iter()
-        .map(mode_name)
-        .collect();
+        let names: Vec<String> =
+            MODES.iter().map(|(key, _)| mode_name(mode_from_key(key).unwrap())).collect();
+        assert_eq!(names[..3], ["plain", "shift/byte", "shift/word"]);
+        assert_eq!(names[5], "shadow/byte");
         let mut uniq = names.clone();
         uniq.sort();
         uniq.dedup();

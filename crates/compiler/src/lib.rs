@@ -57,7 +57,7 @@ use std::collections::HashMap;
 
 use shift_ir::{validate_linked, GlobalId, Program, ValidateError};
 use shift_isa::{Gpr, Op};
-use shift_machine::{layout, Image};
+use shift_machine::{layout, FuncSpan, Image};
 use shift_tagmap::Granularity;
 
 pub use instrument::{InstrumentStats, NatGen, ShiftOptions, NAT_SRC};
@@ -153,6 +153,14 @@ impl CompiledProgram {
     /// A disassembly listing of the whole image.
     pub fn disasm(&self) -> String {
         shift_isa::disasm_listing(&self.image.code, 0)
+    }
+
+    /// The per-function spans the profiler attributes cycles to.
+    pub fn func_spans(&self) -> Vec<FuncSpan> {
+        self.func_ranges
+            .iter()
+            .map(|(name, &(start, end))| FuncSpan { name: name.clone(), start, end })
+            .collect()
     }
 }
 

@@ -243,10 +243,13 @@ pub fn simulate(
                         if trace_events {
                             report.sched_events.push((
                                 t,
-                                TraceKind::Parked { connection: c as u64, wake: t + io },
+                                TraceKind::Parked {
+                                    connection: c as u64,
+                                    wake: t.saturating_add(io),
+                                },
                             ));
                         }
-                        heap.push(Reverse((t + io, seq, Ev::Wake(c))));
+                        heap.push(Reverse((t.saturating_add(io), seq, Ev::Wake(c))));
                         seq += 1;
                     } else {
                         heap.push(Reverse((t, seq, Ev::Wake(c))));
@@ -288,7 +291,7 @@ pub fn simulate(
                 if cfg.quantum > 0 { state.cpu_left.min(cfg.quantum) } else { state.cpu_left };
             state.slice = slice;
             report.busy_cycles += slice;
-            heap.push(Reverse((t + slice, seq, Ev::SliceEnd(c))));
+            heap.push(Reverse((t.saturating_add(slice), seq, Ev::SliceEnd(c))));
             seq += 1;
         }
         // Queue-depth series, recorded on change.
@@ -449,6 +452,22 @@ mod tests {
             .sched_events
             .iter()
             .any(|(_, k)| matches!(k, TraceKind::Admitted { slot: 0, .. })));
+    }
+
+    #[test]
+    fn clock_saturates_at_the_end_of_time() {
+        // Arrivals at the last representable cycle: every later event
+        // saturates there instead of wrapping (or panicking in debug).
+        let arrivals = [u64::MAX; 2];
+        let t = trace(&[(100, 1000), (50, 0)]);
+        let r = simulate(&arrivals, &[t.clone(), t], &cfg(1), true);
+        assert_eq!(r.wall_cycles, u64::MAX);
+        for (d, arrived) in r.dispositions.iter().zip(arrivals) {
+            match *d {
+                Disposition::Done { finished, .. } => assert_eq!(finished - arrived, 0, "sojourn"),
+                Disposition::Shed => panic!("shed"),
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,9 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use shift_machine::{Exit, Injection, Stats, Violation};
-use shift_obs::{merge_events, merge_samples, Registry, Sample, TraceEvent, TraceKind, TraceRing};
+use shift_obs::{
+    merge_events, merge_samples, total_dropped, Registry, Sample, TraceEvent, TraceKind, TraceRing,
+};
 
 use shift_obs::SCHEDULER_TRACK;
 
@@ -165,25 +167,26 @@ impl FleetReport {
         self.connections.iter().map(|c| c.exit.clone()).collect()
     }
 
+    /// Every connection's flight-recorder ring (none when unarmed).
+    fn trace_rings(&self) -> Vec<&TraceRing> {
+        self.connections.iter().filter_map(|c| c.trace.as_ref()).collect()
+    }
+
     /// The fleet's merged trace timeline, ordered by `(cycle, worker, seq)`
     /// — bit-identical at any worker width (see [`shift_obs::trace`]).
     /// Empty when the flight recorder was not armed.
     pub fn merged_trace_events(&self) -> Vec<TraceEvent> {
-        let rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        merge_events(&rings)
+        merge_events(&self.trace_rings())
     }
 
     /// The fleet's merged time-series samples, ordered by `(cycle, worker)`.
     pub fn merged_samples(&self) -> Vec<Sample> {
-        let rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        merge_samples(&rings)
+        merge_samples(&self.trace_rings())
     }
 
     /// Total trace events dropped to ring caps across the fleet.
     pub fn trace_dropped(&self) -> u64 {
-        self.connections.iter().filter_map(|c| c.trace.as_ref()).map(TraceRing::dropped).sum()
+        total_dropped(&self.trace_rings())
     }
 
     /// `true` when no connection lost a request.
@@ -762,26 +765,30 @@ impl OpenLoopReport {
         self.connections.iter().filter_map(|r| r.state_digest.map(|d| (r.connection, d))).collect()
     }
 
-    /// The merged open-loop timeline: every completed connection's ring
-    /// (on its dense slot track) plus the scheduler's shared track, ordered
-    /// by `(cycle, worker, seq)`.
+    /// Every completed connection's ring (on its dense slot track) plus the
+    /// scheduler's shared track (none when unarmed).
+    fn trace_rings(&self) -> Vec<&TraceRing> {
+        self.connections
+            .iter()
+            .filter_map(|c| c.trace.as_ref())
+            .chain(&self.scheduler_trace)
+            .collect()
+    }
+
+    /// The merged open-loop timeline, ordered by `(cycle, worker, seq)`.
     pub fn merged_trace_events(&self) -> Vec<TraceEvent> {
-        let mut rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        if let Some(s) = &self.scheduler_trace {
-            rings.push(s);
-        }
-        merge_events(&rings)
+        merge_events(&self.trace_rings())
     }
 
     /// The merged open-loop time-series samples, ordered by
     /// `(cycle, worker)`.
     pub fn merged_samples(&self) -> Vec<Sample> {
-        let mut rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        if let Some(s) = &self.scheduler_trace {
-            rings.push(s);
-        }
-        merge_samples(&rings)
+        merge_samples(&self.trace_rings())
+    }
+
+    /// Total trace events dropped to ring caps, connections and scheduler
+    /// track alike.
+    pub fn trace_dropped(&self) -> u64 {
+        total_dropped(&self.trace_rings())
     }
 }

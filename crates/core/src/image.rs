@@ -30,12 +30,10 @@ impl ProgramImage {
     /// Prepares an image from a compiled program: loads the memory image
     /// once and freezes the profiler's function table.
     pub fn new(compiled: &CompiledProgram) -> ProgramImage {
-        let func_spans: Vec<FuncSpan> = compiled
-            .func_ranges
-            .iter()
-            .map(|(name, &(start, end))| FuncSpan { name: name.clone(), start, end })
-            .collect();
-        ProgramImage { seed: MachineSeed::new(&compiled.image), func_spans: func_spans.into() }
+        ProgramImage {
+            seed: MachineSeed::new(&compiled.image),
+            func_spans: compiled.func_spans().into(),
+        }
     }
 
     /// Spawns a fresh pristine instance: new CPU at the entry point, cold

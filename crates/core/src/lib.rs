@@ -298,22 +298,13 @@ impl Shift {
         Ok(self.run_compiled(&compiled, world))
     }
 
-    /// Builds the per-function spans the profiler attributes cycles to.
-    fn func_spans(compiled: &CompiledProgram) -> Vec<FuncSpan> {
-        compiled
-            .func_ranges
-            .iter()
-            .map(|(name, &(start, end))| FuncSpan { name: name.clone(), start, end })
-            .collect()
-    }
-
     /// Applies the session's observability options to a fresh machine.
     fn arm_observability(&self, machine: &mut Machine, compiled: &CompiledProgram) {
         if self.trace_taint {
             machine.enable_taint_observer();
         }
         if self.profile {
-            machine.enable_profiler(Self::func_spans(compiled));
+            machine.enable_profiler(compiled.func_spans());
         }
     }
 

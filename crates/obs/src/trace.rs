@@ -300,10 +300,10 @@ impl TraceRing {
     /// re-expanded, a documented coarseness of the export.
     pub fn offset_cycles(&mut self, delta: u64) {
         for e in &mut self.events {
-            e.cycle += delta;
+            e.cycle = e.cycle.saturating_add(delta);
         }
         for s in &mut self.samples {
-            s.cycle += delta;
+            s.cycle = s.cycle.saturating_add(delta);
         }
     }
 

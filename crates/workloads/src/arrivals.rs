@@ -61,6 +61,14 @@ pub enum ArrivalProcess {
     },
 }
 
+/// [`ArrivalProcess::parse`], so `--arrivals` reads like any typed flag.
+impl std::str::FromStr for ArrivalProcess {
+    type Err = String;
+    fn from_str(spec: &str) -> Result<ArrivalProcess, String> {
+        ArrivalProcess::parse(spec)
+    }
+}
+
 impl ArrivalProcess {
     /// Parses a CLI-style spec: `poisson:RATE`, `bursty:RATE[:BURST]`, or
     /// `diurnal:RATE[:AMPLITUDE]`.
